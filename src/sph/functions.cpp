@@ -230,17 +230,27 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
 {
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
+    // Per-pair geometry of the current particle, shared by both loops.
+    struct PairGeometry {
+        std::uint32_t j;
+        Vec3 d;    ///< x_j - x_i (minimum image)
+        double w;  ///< W(|d|, h_i)
+        double vj; ///< m_j / rho_j
+    };
+    std::vector<PairGeometry> pairs;
     for (std::size_t i = 0; i < n; ++i) {
         const double hi = particles_.h[i];
         const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
 
         Sym3 tau;
+        pairs.clear();
         for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
             const std::uint32_t j = *jp;
             const Vec3 d = box_.min_image(particles_.pos(j), xi);
             const double w = kern.w(d.norm(), hi);
             const double vj = particles_.m[j] / std::max(particles_.rho[j], 1e-30);
+            pairs.push_back({j, d, w, vj});
             tau.xx += vj * d.x * d.x * w;
             tau.xy += vj * d.x * d.y * w;
             tau.xz += vj * d.x * d.z * w;
@@ -254,11 +264,7 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
         // IAD first-order velocity gradient estimate.
         double gxx = 0, gxy = 0, gxz = 0, gyx = 0, gyy = 0, gyz = 0, gzx = 0, gzy = 0,
                gzz = 0;
-        for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
-            const std::uint32_t j = *jp;
-            const Vec3 d = box_.min_image(particles_.pos(j), xi);
-            const double w = kern.w(d.norm(), hi);
-            const double vj = particles_.m[j] / std::max(particles_.rho[j], 1e-30);
+        for (const auto& [j, d, w, vj] : pairs) {
             const Vec3 grad = cinv.mul(d) * w; // IAD gradient direction
             const Vec3 dv = particles_.vel(j) - vi;
             gxx += vj * dv.x * grad.x;

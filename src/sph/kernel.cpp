@@ -68,37 +68,6 @@ KernelTable::KernelTable(KernelType type) : type_(type)
     dw_table_[kSize] = 0.0;
 }
 
-double KernelTable::lookup(const std::array<double, kSize + 1>& table, double q) const
-{
-    if (q < 0.0 || q >= kQMax) return 0.0;
-    const double pos = q / kQMax * static_cast<double>(kSize);
-    const std::size_t i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    return table[i] * (1.0 - frac) + table[i + 1] * frac;
-}
-
-double KernelTable::w(double r, double h) const
-{
-    const double q = r / h;
-    return lookup(w_table_, q) / (h * h * h);
-}
-
-double KernelTable::dw_dr(double r, double h) const
-{
-    const double q = r / h;
-    return lookup(dw_table_, q) / (h * h * h * h);
-}
-
-double KernelTable::dw_dh(double r, double h) const
-{
-    const double q = r / h;
-    // W = h^-3 f(q), q = r/h  =>  dW/dh = -(3 W + q * dW/dq)/h, and
-    // dW/dq = h * dW/dr.
-    const double w_val = w(r, h);
-    const double dw_dq = lookup(dw_table_, q) / (h * h * h);
-    return -(3.0 * w_val + q * dw_dq) / h;
-}
-
 const KernelTable& default_kernel()
 {
     static const KernelTable table(KernelType::kCubicSpline);

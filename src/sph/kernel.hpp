@@ -34,16 +34,40 @@ public:
 
     KernelType type() const { return type_; }
 
+    // Defined inline: these sit in every SPH pair loop.
+
     /// W(r, h); zero outside the support radius 2h.
-    double w(double r, double h) const;
+    double w(double r, double h) const
+    {
+        const double q = r / h;
+        return lookup(w_table_, q) / (h * h * h);
+    }
     /// dW/dr (r, h); zero outside support (and at r = 0 by symmetry).
-    double dw_dr(double r, double h) const;
+    double dw_dr(double r, double h) const
+    {
+        const double q = r / h;
+        return lookup(dw_table_, q) / (h * h * h * h);
+    }
     /// dW/dh (r, h) for gradh correction terms:
     /// dW/dh = -(3 W + q dW/dq)/h for any 3D kernel of the form h^-3 f(q).
-    double dw_dh(double r, double h) const;
+    double dw_dh(double r, double h) const
+    {
+        const double q = r / h;
+        // dW/dq = h * dW/dr.
+        const double w_val = w(r, h);
+        const double dw_dq = lookup(dw_table_, q) / (h * h * h);
+        return -(3.0 * w_val + q * dw_dq) / h;
+    }
 
 private:
-    double lookup(const std::array<double, kSize + 1>& table, double q) const;
+    static double lookup(const std::array<double, kSize + 1>& table, double q)
+    {
+        if (q < 0.0 || q >= kQMax) return 0.0;
+        const double pos = q / kQMax * static_cast<double>(kSize);
+        const std::size_t i = static_cast<std::size_t>(pos);
+        const double frac = pos - static_cast<double>(i);
+        return table[i] * (1.0 - frac) + table[i + 1] * frac;
+    }
 
     KernelType type_;
     std::array<double, kSize + 1> w_table_{};  ///< h^3 * W at q

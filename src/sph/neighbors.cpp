@@ -6,147 +6,151 @@
 
 namespace gsph::sph {
 
-CellGrid::CellGrid(const Box& box, double cutoff, std::size_t n_particles)
-    : box_(box), cutoff_(cutoff)
-{
-    if (cutoff <= 0.0) throw std::invalid_argument("CellGrid: non-positive cutoff");
-    // Aim for O(1) particles per cell but never let cells be smaller than
-    // the cutoff (27-stencil correctness).
-    auto dim = [&](double len) {
-        int n = static_cast<int>(std::floor(len / cutoff));
-        n = std::max(n, 1);
-        // Avoid pathological cell counts for tiny particle sets.
-        const int target = std::max(1, static_cast<int>(std::cbrt(static_cast<double>(
-                                           std::max<std::size_t>(n_particles, 1)))));
-        return std::min(n, 4 * target);
-    };
-    nx_ = dim(box_.lx());
-    ny_ = dim(box_.ly());
-    nz_ = dim(box_.lz());
-    inv_wx_ = static_cast<double>(nx_) / box_.lx();
-    inv_wy_ = static_cast<double>(ny_) / box_.ly();
-    inv_wz_ = static_cast<double>(nz_) / box_.lz();
-    cells_.resize(static_cast<std::size_t>(nx_) * ny_ * nz_);
-}
+namespace {
 
-int CellGrid::cell_index_1d(int cx, int cy, int cz) const
-{
-    return (cz * ny_ + cy) * nx_ + cx;
-}
+/// Widening of each particle's cell range, in cells, so that rounding at a
+/// cell face, or in the cell width on a periodic axis, can never drop a pair.
+constexpr double kCellSlack = 1e-9;
 
-int CellGrid::coord_to_cell(double v, double lo, double inv_w, int n) const
-{
-    int c = static_cast<int>(std::floor((v - lo) * inv_w));
-    return std::clamp(c, 0, n - 1);
-}
+/// One axis of the cell list: `n` cells of equal width tiling [lo, lo + L).
+struct Axis {
+    double lo = 0.0;
+    double inv_w = 1.0;
+    int n = 1;
+    bool periodic = false;
 
-void CellGrid::assign(const ParticleSet& particles)
-{
-    for (auto& cell : cells_) cell.clear();
-    for (std::size_t i = 0; i < particles.size(); ++i) {
-        const int cx = coord_to_cell(particles.x[i], box_.lo.x, inv_wx_, nx_);
-        const int cy = coord_to_cell(particles.y[i], box_.lo.y, inv_wy_, ny_);
-        const int cz = coord_to_cell(particles.z[i], box_.lo.z, inv_wz_, nz_);
-        cells_[static_cast<std::size_t>(cell_index_1d(cx, cy, cz))].push_back(
-            static_cast<std::uint32_t>(i));
+    Axis(double lo_, double len, bool periodic_, double width, int max_cells)
+        : lo(lo_), periodic(periodic_)
+    {
+        n = std::clamp(static_cast<int>(std::floor(len / width)), 1, max_cells);
+        inv_w = static_cast<double>(n) / len;
     }
-}
 
-std::size_t CellGrid::find_neighbors(ParticleSet& particles, NeighborList& out) const
+    /// floor(u) for a coordinate `u` in cell units, bounded to +-2n so the
+    /// int cast is defined.
+    int floor_cell(double u) const
+    {
+        const double bound = 2.0 * static_cast<double>(n);
+        return static_cast<int>(std::floor(std::clamp(u, -bound, bound)));
+    }
+
+    int cell(double v) const { return std::clamp(floor_cell((v - lo) * inv_w), 0, n - 1); }
+
+    /// Cells [first, last] under [v - r, v + r], with 0 <= first < n.  On a
+    /// periodic axis `last` may pass n - 1 (wrap() maps it back) and the
+    /// range holds each cell at most once: a range as wide as the axis
+    /// becomes the whole axis.
+    void range(double v, double r, int& first, int& last) const
+    {
+        first = floor_cell((v - r - lo) * inv_w - kCellSlack);
+        last = floor_cell((v + r - lo) * inv_w + kCellSlack);
+        if (!periodic) {
+            first = std::clamp(first, 0, n - 1);
+            last = std::clamp(last, 0, n - 1);
+        }
+        else if (last - first + 1 >= n) {
+            first = 0;
+            last = n - 1;
+        }
+        else {
+            for (; first < 0; first += n) last += n;
+            for (; first >= n; first -= n) last -= n;
+        }
+    }
+
+    int wrap(int c) const { return c >= n ? c - n : c; }
+};
+
+} // namespace
+
+std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborList& out)
 {
     const std::size_t n = particles.size();
+    double hmax = 0.0;
+    for (double hi : particles.h) hmax = std::max(hmax, hi);
+    if (hmax <= 0.0) throw std::invalid_argument("find_all_neighbors: non-positive h");
+
+    // Cells about hmax wide, capped so tiny particle sets do not get
+    // pathological cell counts.
+    const int max_cells = 4 * std::max(1, static_cast<int>(std::cbrt(static_cast<double>(n))));
+    const Axis ax(box.lo.x, box.lx(), box.periodic_x, hmax, max_cells);
+    const Axis ay(box.lo.y, box.ly(), box.periodic_y, hmax, max_cells);
+    const Axis az(box.lo.z, box.lz(), box.periodic_z, hmax, max_cells);
+
+    // Counting sort into one flat cell list: the particles of cell c are
+    // order[start[c] .. start[c + 1]), in index order, with their positions
+    // copied alongside so a scan reads contiguous memory.
+    const std::size_t n_cells = static_cast<std::size_t>(ax.n) * ay.n * az.n;
+    std::vector<std::uint32_t> start(n_cells + 1, 0);
+    std::vector<std::uint32_t> cell_of(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        cell_of[i] = static_cast<std::uint32_t>(
+            (static_cast<std::size_t>(az.cell(particles.z[i])) * ay.n +
+             static_cast<std::size_t>(ay.cell(particles.y[i]))) * ax.n +
+            static_cast<std::size_t>(ax.cell(particles.x[i])));
+        ++start[cell_of[i] + 1];
+    }
+    for (std::size_t c = 0; c < n_cells; ++c) start[c + 1] += start[c];
+    std::vector<std::uint32_t> order(n);
+    std::vector<Vec3> sorted_pos(n);
+    {
+        std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t k = fill[cell_of[i]]++;
+            order[k] = static_cast<std::uint32_t>(i);
+            sorted_pos[k] = particles.pos(i);
+        }
+    }
+
     out.offsets.assign(n + 1, 0);
     out.list.clear();
     out.truncated.clear();
-
-    // How many cells the cutoff spans (>=1); cells are >= cutoff wide except
-    // when the clamp in the constructor kicked in for dense grids.
-    const int rx = std::max(1, static_cast<int>(std::ceil(cutoff_ * inv_wx_)));
-    const int ry = std::max(1, static_cast<int>(std::ceil(cutoff_ * inv_wy_)));
-    const int rz = std::max(1, static_cast<int>(std::ceil(cutoff_ * inv_wz_)));
-
-    // On periodic axes with few cells a naive [-r, r] stencil would visit
-    // the same wrapped cell twice; restrict the range so every cell is
-    // visited exactly once.
-    const int rx_lo = box_.periodic_x ? -std::min(rx, (nx_ - 1) / 2) : -rx;
-    const int rx_hi = box_.periodic_x ? std::min(rx, nx_ / 2) : rx;
-    const int ry_lo = box_.periodic_y ? -std::min(ry, (ny_ - 1) / 2) : -ry;
-    const int ry_hi = box_.periodic_y ? std::min(ry, ny_ / 2) : ry;
-    const int rz_lo = box_.periodic_z ? -std::min(rz, (nz_ - 1) / 2) : -rz;
-    const int rz_hi = box_.periodic_z ? std::min(rz, nz_ / 2) : rz;
+    const auto ngmax = static_cast<std::size_t>(out.ngmax);
 
     std::size_t total_pairs = 0;
-    std::vector<std::uint32_t> scratch;
-    scratch.reserve(static_cast<std::size_t>(out.ngmax));
-
+    std::vector<std::uint32_t> found;
     for (std::size_t i = 0; i < n; ++i) {
-        scratch.clear();
+        found.clear();
         const Vec3 xi = particles.pos(i);
         const double radius = 2.0 * particles.h[i];
         const double r2max = radius * radius;
 
-        const int cx = coord_to_cell(xi.x, box_.lo.x, inv_wx_, nx_);
-        const int cy = coord_to_cell(xi.y, box_.lo.y, inv_wy_, ny_);
-        const int cz = coord_to_cell(xi.z, box_.lo.z, inv_wz_, nz_);
-
-        for (int dz = rz_lo; dz <= rz_hi; ++dz) {
-            int zc = cz + dz;
-            if (box_.periodic_z) {
-                zc = (zc % nz_ + nz_) % nz_;
+        // Test the particles of cells [c0, c1] of one x-row.
+        auto scan = [&](std::size_t row, int c0, int c1) {
+            for (std::uint32_t k = start[row + c0]; k < start[row + c1 + 1]; ++k) {
+                if (order[k] == i) continue;
+                if (box.min_image(xi, sorted_pos[k]).norm2() < r2max) {
+                    found.push_back(order[k]);
+                }
             }
-            else if (zc < 0 || zc >= nz_) {
-                continue;
-            }
-            for (int dy = ry_lo; dy <= ry_hi; ++dy) {
-                int yc = cy + dy;
-                if (box_.periodic_y) {
-                    yc = (yc % ny_ + ny_) % ny_;
-                }
-                else if (yc < 0 || yc >= ny_) {
-                    continue;
-                }
-                for (int dx = rx_lo; dx <= rx_hi; ++dx) {
-                    int xc = cx + dx;
-                    if (box_.periodic_x) {
-                        xc = (xc % nx_ + nx_) % nx_;
-                    }
-                    else if (xc < 0 || xc >= nx_) {
-                        continue;
-                    }
-                    for (std::uint32_t j :
-                         cells_[static_cast<std::size_t>(cell_index_1d(xc, yc, zc))]) {
-                        if (static_cast<std::size_t>(j) == i) continue;
-                        const Vec3 d = box_.min_image(xi, particles.pos(j));
-                        if (d.norm2() < r2max) {
-                            ++total_pairs;
-                            if (scratch.size() <
-                                static_cast<std::size_t>(out.ngmax)) {
-                                scratch.push_back(j);
-                            }
-                        }
-                    }
-                }
+        };
+        int x0, x1, y0, y1, z0, z1;
+        ax.range(xi.x, radius, x0, x1);
+        ay.range(xi.y, radius, y0, y1);
+        az.range(xi.z, radius, z0, z1);
+        for (int cz = z0; cz <= z1; ++cz) {
+            for (int cy = y0; cy <= y1; ++cy) {
+                const std::size_t row =
+                    (static_cast<std::size_t>(az.wrap(cz)) * ay.n + ay.wrap(cy)) * ax.n;
+                // A wrapped x-range is two runs of adjacent cells.
+                scan(row, x0, std::min(x1, ax.n - 1));
+                if (x1 >= ax.n) scan(row, 0, x1 - ax.n);
             }
         }
 
-        if (scratch.size() == static_cast<std::size_t>(out.ngmax)) {
+        total_pairs += found.size();
+        if (found.size() > ngmax) {
+            // Keep the lowest (SFC-ordered) indices so the kept set does not
+            // depend on the cell layout.
             out.truncated.push_back(static_cast<int>(i));
+            std::sort(found.begin(), found.end());
+            found.resize(ngmax);
         }
-        particles.nc[i] = static_cast<int>(scratch.size());
-        out.offsets[i + 1] = out.offsets[i] + static_cast<std::uint32_t>(scratch.size());
-        out.list.insert(out.list.end(), scratch.begin(), scratch.end());
+        particles.nc[i] = static_cast<int>(found.size());
+        out.offsets[i + 1] = out.offsets[i] + static_cast<std::uint32_t>(found.size());
+        out.list.insert(out.list.end(), found.begin(), found.end());
     }
     return total_pairs;
-}
-
-std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborList& out)
-{
-    double hmax = 0.0;
-    for (double hi : particles.h) hmax = std::max(hmax, hi);
-    if (hmax <= 0.0) throw std::invalid_argument("find_all_neighbors: non-positive h");
-    CellGrid grid(box, 2.0 * hmax, particles.size());
-    grid.assign(particles);
-    return grid.find_neighbors(particles, out);
 }
 
 } // namespace gsph::sph

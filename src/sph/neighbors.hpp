@@ -1,6 +1,6 @@
 #pragma once
 /// \file neighbors.hpp
-/// \brief Linked-cell neighbour search with periodic boundary support.
+/// \brief Cell-list neighbour search with periodic boundary support.
 ///
 /// Finds, for every particle i, all j != i with |x_i - x_j| < 2 * h_i
 /// (kernel support radius).  Results are stored CSR-style with a per-
@@ -18,7 +18,7 @@ struct NeighborList {
     int ngmax = 150;                    ///< per-particle neighbour cap
     std::vector<std::uint32_t> offsets; ///< size N+1
     std::vector<std::uint32_t> list;    ///< concatenated neighbour indices
-    std::vector<int> truncated;         ///< particles that hit ngmax (indices)
+    std::vector<int> truncated;         ///< particles with more than ngmax (indices)
 
     std::size_t count(std::size_t i) const { return offsets[i + 1] - offsets[i]; }
     const std::uint32_t* begin(std::size_t i) const { return list.data() + offsets[i]; }
@@ -26,38 +26,13 @@ struct NeighborList {
     std::size_t total_pairs() const { return list.size(); }
 };
 
-class CellGrid {
-public:
-    /// Build a grid over `box` with cells no smaller than `min_cell`;
-    /// `cutoff` is the maximum interaction radius the grid must resolve
-    /// (cells are at least this large so 27-stencil sweeps suffice).
-    CellGrid(const Box& box, double cutoff, std::size_t n_particles);
-
-    void assign(const ParticleSet& particles);
-
-    int nx() const { return nx_; }
-    int ny() const { return ny_; }
-    int nz() const { return nz_; }
-    std::size_t cell_count() const { return cells_.size(); }
-
-    /// Fill `out` (CSR) with all neighbours within 2*h_i of each particle.
-    /// Also updates `particles.nc`.  Returns the total number of pairs found
-    /// (before the ngmax cap).
-    std::size_t find_neighbors(ParticleSet& particles, NeighborList& out) const;
-
-private:
-    int cell_index_1d(int cx, int cy, int cz) const;
-    int coord_to_cell(double v, double lo, double inv_w, int n) const;
-
-    Box box_;
-    double cutoff_;
-    int nx_ = 1, ny_ = 1, nz_ = 1;
-    double inv_wx_ = 1.0, inv_wy_ = 1.0, inv_wz_ = 1.0;
-    std::vector<std::vector<std::uint32_t>> cells_;
-};
-
-/// Convenience: build a grid sized by the current max smoothing length and
-/// run the search.  Returns total pre-cap pairs.
+/// Fill `out` (CSR) with all neighbours within 2*h_i of each particle and
+/// update `particles.nc`.  Particles are bucketed into one flat cell list
+/// with cells about max(h) wide; each particle scans only the cells under
+/// the bounding box of its own support sphere.  A particle with more than
+/// `out.ngmax` neighbours keeps the `ngmax` lowest indices and is listed in
+/// `out.truncated`.  Returns the total number of pairs found (before the
+/// ngmax cap).
 std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborList& out);
 
 } // namespace gsph::sph

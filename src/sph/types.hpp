@@ -71,13 +71,16 @@ struct Box {
     double ly() const { return hi.y - lo.y; }
     double lz() const { return hi.z - lo.z; }
 
-    /// Minimum-image displacement a - b under the box's periodicity.
+    /// Minimum-image displacement a - b under the box's periodicity, for
+    /// points at most one box length apart per axis (any two points inside
+    /// the box).  One compare-and-shift by +-L per axis: for components
+    /// clearly shorter than L/2 this is bit-identical to d - L * round(d / L).
     Vec3 min_image(const Vec3& a, const Vec3& b) const
     {
         Vec3 d = a - b;
-        if (periodic_x) d.x -= lx() * std::round(d.x / lx());
-        if (periodic_y) d.y -= ly() * std::round(d.y / ly());
-        if (periodic_z) d.z -= lz() * std::round(d.z / lz());
+        if (periodic_x) d.x = shift_into_half(d.x, lx());
+        if (periodic_y) d.y = shift_into_half(d.y, ly());
+        if (periodic_z) d.z = shift_into_half(d.z, lz());
         return d;
     }
 
@@ -94,6 +97,15 @@ struct Box {
     {
         return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y && p.z >= lo.z &&
                p.z <= hi.z;
+    }
+
+private:
+    static double shift_into_half(double d, double len)
+    {
+        const double half = 0.5 * len;
+        if (d > half) return d - len;
+        if (d < -half) return d + len;
+        return d;
     }
 };
 

@@ -1,6 +1,7 @@
 #include "sim/workload.hpp"
 
 #include "sim/driver.hpp"
+#include "util/checksum.hpp"
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,26 @@ TEST(Workload, DeterministicTraces)
             EXPECT_DOUBLE_EQ(fa[f].work.flops, fb[f].work.flops);
             EXPECT_DOUBLE_EQ(fa[f].work.dram_bytes, fb[f].work.dram_bytes);
         }
+    }
+}
+
+TEST(Workload, GoldenTraceHashes)
+{
+    // FNV-1a/64 of the serialized trace for one small spec per workload.
+    // These pin the recorded kernel work bit for bit: a change to the SPH
+    // functions, the neighbour search or the geometry that alters any
+    // pair count or flop total changes a hash.  Update them only for a
+    // deliberate change of behaviour.
+    struct Golden {
+        WorkloadKind kind;
+        std::uint64_t hash;
+    };
+    for (const Golden& g : {Golden{WorkloadKind::kSubsonicTurbulence, 0x3e3c32faa3fbd39cull},
+                            Golden{WorkloadKind::kEvrardCollapse, 0xc24432f575291212ull},
+                            Golden{WorkloadKind::kSedovBlast, 0xd42ad017eaaf7dd4ull}}) {
+        WorkloadSpec spec = small_spec(g.kind);
+        spec.n_steps = 10;
+        EXPECT_EQ(util::fnv1a64(record_trace(spec).serialize()), g.hash) << to_string(g.kind);
     }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include <set>
+#include <vector>
 
 namespace gsph::sph {
 namespace {
@@ -132,11 +133,23 @@ TEST(Neighbors, NgmaxCapTruncatesAndRecords)
     ParticleSet ps = random_particles(500, box, 0.45, 80); // everyone sees everyone
     NeighborList nl;
     nl.ngmax = 20;
-    find_all_neighbors(ps, box, nl);
-    EXPECT_FALSE(nl.truncated.empty());
+    EXPECT_EQ(find_all_neighbors(ps, box, nl), 500u * 499u);
+    EXPECT_EQ(nl.truncated.size(), ps.size());
     for (std::size_t i = 0; i < ps.size(); ++i) {
-        EXPECT_LE(nl.count(i), 20u);
+        ASSERT_EQ(nl.count(i), 20u);
+        // Overflow keeps the lowest indices, whatever the cell layout.
+        std::vector<std::uint32_t> lowest;
+        for (std::uint32_t j = 0; lowest.size() < 20; ++j) {
+            if (j != i) lowest.push_back(j);
+        }
+        EXPECT_EQ(std::vector<std::uint32_t>(nl.begin(i), nl.end(i)), lowest) << i;
     }
+
+    // Exactly ngmax neighbours: nothing was dropped, so nothing is flagged.
+    ParticleSet exact = random_particles(21, box, 0.45, 83);
+    find_all_neighbors(exact, box, nl);
+    EXPECT_TRUE(nl.truncated.empty());
+    for (std::size_t i = 0; i < exact.size(); ++i) EXPECT_EQ(nl.count(i), 20u);
 }
 
 TEST(Neighbors, PreCapPairCountAtLeastStored)
@@ -177,10 +190,63 @@ TEST(Neighbors, VariableSmoothingLengthsAsymmetric)
     EXPECT_EQ(nl.count(1), 0u);
 }
 
-TEST(CellGrid, HandlesTinyPeriodicBoxWithoutDuplicates)
+TEST(Neighbors, VariableSmoothingLengthOpenBoxMatchesBruteForce)
 {
-    // Grid degenerates to very few cells: the wrap-aware stencil must not
-    // double count.
+    // Evrard-like: centrally concentrated particles in an open box with h
+    // growing 3x from the centre outward, plus particles that have left
+    // the box (they fall into the edge cells).
+    const Box box = Box::cube(-1.6, 1.6, false);
+    util::Rng rng(84);
+    ParticleSet ps;
+    ps.resize(400);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double r = std::pow(rng.uniform(0.0, 1.0), 1.5);
+        const double cos_t = rng.uniform(-1.0, 1.0);
+        const double sin_t = std::sqrt(1.0 - cos_t * cos_t);
+        const double phi = rng.uniform(0.0, 2.0 * 3.14159265358979323846);
+        ps.x[i] = r * sin_t * std::cos(phi);
+        ps.y[i] = r * sin_t * std::sin(phi);
+        ps.z[i] = r * cos_t;
+        ps.h[i] = 0.08 * (1.0 + 2.0 * r);
+        ps.m[i] = 1.0;
+    }
+    ps.x[0] = 1.65; // escaped past +x, within reach of particles 1 and 2
+    ps.x[1] = 1.90;
+    ps.x[2] = 1.50;
+    for (std::size_t i = 0; i < 3; ++i) {
+        ps.y[i] = ps.z[i] = 0.0;
+        ps.h[i] = 0.24;
+    }
+    ps.y[3] = -1.7; // escaped past -y
+    NeighborList nl;
+    find_all_neighbors(ps, box, nl);
+    EXPECT_EQ(to_pairs(nl, ps.size()), brute_force(ps, box));
+    EXPECT_GE(nl.count(0), 2u);
+}
+
+TEST(Neighbors, SupportWiderThanPeriodicAxisMatchesBruteForce)
+{
+    // Non-cubic periodic box with lo != 0: the large-h particles' support
+    // (radius 0.6) spans the whole x axis (L = 1) but not y or z.
+    Box box;
+    box.lo = {0.5, -1.0, 2.0};
+    box.hi = {1.5, 1.0, 5.0};
+    box.periodic_x = box.periodic_y = box.periodic_z = true;
+    ParticleSet ps = random_particles(300, box, 0.1, 85);
+    for (std::size_t i = 0; i < ps.size(); i += 10) ps.h[i] = 0.3;
+    NeighborList nl;
+    find_all_neighbors(ps, box, nl);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        std::set<std::uint32_t> unique(nl.begin(i), nl.end(i));
+        EXPECT_EQ(unique.size(), nl.count(i)) << "duplicates for particle " << i;
+    }
+    EXPECT_EQ(to_pairs(nl, ps.size()), brute_force(ps, box));
+}
+
+TEST(Neighbors, TinyPeriodicBoxHasNoDuplicates)
+{
+    // The cell list degenerates to very few cells and every support box
+    // spans the whole box: no cell may be scanned twice.
     const Box box = Box::cube(0.0, 1.0, true);
     ParticleSet ps = random_particles(20, box, 0.5, 82);
     NeighborList nl;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace gsph::sph {
 namespace {
@@ -59,6 +61,51 @@ TEST(Box, MinImageOpenBoxIsPlainDifference)
     const Box box = Box::cube(0.0, 1.0, false);
     const Vec3 d = box.min_image({0.05, 0.5, 0.5}, {0.95, 0.5, 0.5});
     EXPECT_NEAR(d.x, -0.9, 1e-12);
+}
+
+TEST(Box, MinImageMatchesDivideAndRound)
+{
+    // The compare-and-shift minimum image gives the same bits as
+    // d - L * round(d / L) for every pair of in-box points whose periodic
+    // components are shorter than half the box.
+    Box shifted = Box::cube(-1.6, 2.3, true);
+    Box mixed;
+    mixed.lo = {-0.5, 2.0, -3.0};
+    mixed.hi = {0.25, 5.0, 4.0};
+    mixed.periodic_x = mixed.periodic_z = true;
+    util::Rng rng(11);
+    for (const Box& box : {Box::cube(0.0, 1.0, true), shifted, mixed}) {
+        const bool periodic[3] = {box.periodic_x, box.periodic_y, box.periodic_z};
+        const double len[3] = {box.lx(), box.ly(), box.lz()};
+        int compared = 0, wrapped = 0;
+        for (int trial = 0; trial < 20000; ++trial) {
+            auto point = [&] {
+                return Vec3{rng.uniform(box.lo.x, box.hi.x), rng.uniform(box.lo.y, box.hi.y),
+                            rng.uniform(box.lo.z, box.hi.z)};
+            };
+            const Vec3 a = point(), b = point();
+            const Vec3 raw = a - b;
+            double ref[3] = {raw.x, raw.y, raw.z};
+            bool short_enough = true;
+            for (int k = 0; k < 3; ++k) {
+                if (!periodic[k]) continue;
+                ref[k] -= len[k] * std::round(ref[k] / len[k]);
+                short_enough = short_enough && std::fabs(ref[k]) < 0.499 * len[k];
+            }
+            if (!short_enough) continue;
+            const Vec3 d = box.min_image(a, b);
+            const double got[3] = {d.x, d.y, d.z};
+            for (int k = 0; k < 3; ++k) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                          std::bit_cast<std::uint64_t>(ref[k]))
+                    << "axis " << k << " trial " << trial;
+            }
+            ++compared;
+            if (raw.x != d.x || raw.y != d.y || raw.z != d.z) ++wrapped;
+        }
+        EXPECT_GT(compared, 10000);
+        EXPECT_GT(wrapped, 1000);
+    }
 }
 
 TEST(Box, WrapBringsPointsInside)
