@@ -41,7 +41,8 @@ sph::SphSimulation make_simulation(const WorkloadSpec& spec)
     return sph::make_evrard_collapse(p);
 }
 
-WorkloadTrace record_trace(const WorkloadSpec& spec, sph::StepDiagnostics* final_diag)
+WorkloadTrace record_trace(const WorkloadSpec& spec, sph::StepDiagnostics* final_diag,
+                           int max_threads)
 {
     if (spec.n_steps <= 0) throw std::invalid_argument("record_trace: n_steps <= 0");
     if (spec.particles_per_gpu <= 0.0) {
@@ -49,6 +50,7 @@ WorkloadTrace record_trace(const WorkloadSpec& spec, sph::StepDiagnostics* final
     }
 
     sph::SphSimulation simulation = make_simulation(spec);
+    simulation.set_max_threads(max_threads);
 
     WorkloadTrace trace;
     trace.workload_name = to_string(spec.kind);

@@ -73,9 +73,12 @@ struct WorkloadTrace {
 };
 
 /// Run the real physics once and record the trace.  Also returns final
-/// conservation diagnostics through `final_diag` when non-null.
+/// conservation diagnostics through `final_diag` when non-null.  The
+/// per-particle passes use at most `max_threads` host threads (<= 0: one
+/// per available CPU); the trace is byte-identical for any value.
 WorkloadTrace record_trace(const WorkloadSpec& spec,
-                           sph::StepDiagnostics* final_diag = nullptr);
+                           sph::StepDiagnostics* final_diag = nullptr,
+                           int max_threads = 0);
 
 /// Build the SphSimulation a trace would be recorded from (exposed for
 /// tests and examples that want to drive the physics directly).

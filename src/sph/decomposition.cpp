@@ -11,7 +11,7 @@ DecompositionStats analyze_sfc_decomposition(const SphSimulation& sim, int n_par
     const ParticleSet& ps = sim.particles();
     const NeighborList& nl = sim.neighbors();
     const std::size_t n = ps.size();
-    if (nl.offsets.size() != n + 1) {
+    if (nl.counts.size() != n) {
         throw std::logic_error("decomposition: neighbour lists not built");
     }
 

@@ -1,6 +1,7 @@
 #include "sph/functions.hpp"
 
 #include "sph/kernel.hpp"
+#include "sph/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -156,7 +157,8 @@ gpusim::KernelWork SphSimulation::domain_decomp_and_sync()
 
 gpusim::KernelWork SphSimulation::find_neighbors()
 {
-    const std::size_t pre_cap_pairs = find_all_neighbors(particles_, box_, neighbors_);
+    const std::size_t pre_cap_pairs =
+        find_all_neighbors(particles_, box_, neighbors_, max_threads_);
     neighbors_valid_ = true;
     return make_work(SphFunction::kFindNeighbors, kFindNeighborsCost,
                      static_cast<double>(pre_cap_pairs),
@@ -170,7 +172,7 @@ gpusim::KernelWork SphSimulation::xmass()
     }
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    for_each_particle(n, max_threads_, [&](std::size_t i) {
         const double hi = particles_.h[i];
         double xm = particles_.m[i] * kern.w(0.0, hi); // self contribution
         const Vec3 xi = particles_.pos(i);
@@ -182,7 +184,7 @@ gpusim::KernelWork SphSimulation::xmass()
         particles_.xmass[i] = xm;
         // Density from the volume-element sum (equal-mass scheme).
         particles_.rho[i] = xm;
-    }
+    });
     return make_work(SphFunction::kXMass, kXMassCost,
                      static_cast<double>(neighbors_.total_pairs()), static_cast<double>(n),
                      kXMassCost.launches);
@@ -192,7 +194,7 @@ gpusim::KernelWork SphSimulation::normalization_gradh()
 {
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    for_each_particle(n, max_threads_, [&](std::size_t i) {
         const double hi = particles_.h[i];
         double dsum = particles_.m[i] * kern.dw_dh(0.0, hi);
         const Vec3 xi = particles_.pos(i);
@@ -205,7 +207,7 @@ gpusim::KernelWork SphSimulation::normalization_gradh()
         const double rho = std::max(particles_.rho[i], 1e-30);
         const double omega = 1.0 + hi / (3.0 * rho) * dsum;
         particles_.gradh[i] = std::clamp(omega, 0.2, 3.0);
-    }
+    });
     return make_work(SphFunction::kNormalizationGradh, kGradhCost,
                      static_cast<double>(neighbors_.total_pairs()), static_cast<double>(n),
                      kGradhCost.launches);
@@ -237,8 +239,9 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
         double w;  ///< W(|d|, h_i)
         double vj; ///< m_j / rho_j
     };
-    std::vector<PairGeometry> pairs;
-    for (std::size_t i = 0; i < n; ++i) {
+    for_each_particle(n, max_threads_, [&](std::size_t i) {
+        // Reused per thread, so only a thread's first particles allocate.
+        thread_local std::vector<PairGeometry> pairs;
         const double hi = particles_.h[i];
         const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
@@ -280,7 +283,7 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
         particles_.div_v[i] = gxx + gyy + gzz;
         const Vec3 curl{gzy - gyz, gxz - gzx, gyx - gxy};
         particles_.curl_v[i] = curl.norm();
-    }
+    });
     return make_work(SphFunction::kIadVelocityDivCurl, kIadCost,
                      2.0 * static_cast<double>(neighbors_.total_pairs()),
                      static_cast<double>(n), kIadCost.launches);
@@ -319,7 +322,7 @@ gpusim::KernelWork SphSimulation::momentum_energy()
 {
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    for_each_particle(n, max_threads_, [&](std::size_t i) {
         const double hi = particles_.h[i];
         const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
@@ -374,7 +377,7 @@ gpusim::KernelWork SphSimulation::momentum_energy()
         particles_.az[i] = acc.z;
         particles_.du[i] = pi_term * du_press + 0.5 * du_av;
         particles_.vsig[i] = vsig_max;
-    }
+    });
     return make_work(SphFunction::kMomentumEnergy, kMomentumEnergyCost,
                      static_cast<double>(neighbors_.total_pairs()), static_cast<double>(n),
                      kMomentumEnergyCost.launches);
@@ -388,7 +391,7 @@ gpusim::KernelWork SphSimulation::gravity()
         w.launches = 0;
         return w;
     }
-    gravity_stats_ = compute_gravity(particles_, octree_, config_.grav);
+    gravity_stats_ = compute_gravity(particles_, octree_, config_.grav, max_threads_);
     const double interactions =
         static_cast<double>(gravity_stats_.particle_node_interactions +
                             gravity_stats_.particle_particle_interactions);

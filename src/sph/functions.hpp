@@ -108,6 +108,12 @@ public:
     using Observer = std::function<void(SphFunction, const gpusim::KernelWork&)>;
     void step(const Observer& observer = {});
 
+    /// Cap the host threads of the per-particle passes (FindNeighbors,
+    /// XMass, NormalizationGradh, IADVelocityDivCurl, MomentumEnergy,
+    /// Gravity), which run on util::ThreadPool::shared(); <= 0, the
+    /// default, uses the whole pool.  Results do not depend on it.
+    void set_max_threads(int max_threads) { max_threads_ = max_threads; }
+
     // --- state access -------------------------------------------------------
     const ParticleSet& particles() const { return particles_; }
     ParticleSet& particles() { return particles_; }
@@ -134,6 +140,7 @@ private:
     double time_ = 0.0;
     long step_index_ = 0;
     bool neighbors_valid_ = false;
+    int max_threads_ = 0;
 };
 
 } // namespace gsph::sph

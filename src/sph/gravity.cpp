@@ -1,5 +1,7 @@
 #include "sph/gravity.hpp"
 
+#include "sph/parallel.hpp"
+
 #include <cmath>
 #include <vector>
 
@@ -63,21 +65,25 @@ void traverse(const ParticleSet& ps, const Octree& tree, int node_index, std::si
 } // namespace
 
 GravityStats compute_gravity(ParticleSet& particles, const Octree& tree,
-                             const GravityConfig& config)
+                             const GravityConfig& config, int max_threads)
 {
     GravityStats stats;
     if (tree.empty() || particles.size() == 0) return stats;
 
-    double potential2 = 0.0; // 2x the potential (each pair counted twice)
-    for (std::size_t i = 0; i < particles.size(); ++i) {
-        Accum acc;
+    std::vector<Accum> walks(particles.size());
+    for_each_particle(particles.size(), max_threads, [&](std::size_t i) {
+        Accum& acc = walks[i];
         traverse(particles, tree, 0, i, config, acc);
         particles.ax[i] += acc.acc.x;
         particles.ay[i] += acc.acc.y;
         particles.az[i] += acc.acc.z;
-        potential2 += particles.m[i] * acc.pot;
-        stats.particle_node_interactions += acc.pn;
-        stats.particle_particle_interactions += acc.pp;
+    });
+
+    double potential2 = 0.0; // 2x the potential (each pair counted twice)
+    for (std::size_t i = 0; i < particles.size(); ++i) {
+        potential2 += particles.m[i] * walks[i].pot;
+        stats.particle_node_interactions += walks[i].pn;
+        stats.particle_particle_interactions += walks[i].pp;
     }
     stats.potential = 0.5 * potential2;
     return stats;

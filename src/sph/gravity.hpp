@@ -26,8 +26,11 @@ struct GravityStats {
 
 /// Adds gravitational acceleration to particles.{ax,ay,az} and returns
 /// interaction counts plus the total potential energy (for conservation
-/// diagnostics).  The tree must be built over the same particle set.
+/// diagnostics).  The tree must be built over the same particle set.  The
+/// per-particle walks run on at most `max_threads` threads of the shared
+/// pool (<= 0: all of them); the totals are summed in index order, so the
+/// result is the same for any thread count.
 GravityStats compute_gravity(ParticleSet& particles, const Octree& tree,
-                             const GravityConfig& config);
+                             const GravityConfig& config, int max_threads = 0);
 
 } // namespace gsph::sph

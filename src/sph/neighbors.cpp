@@ -1,5 +1,7 @@
 #include "sph/neighbors.hpp"
 
+#include "sph/parallel.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -63,7 +65,8 @@ struct Axis {
 
 } // namespace
 
-std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborList& out)
+std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborList& out,
+                               int max_threads)
 {
     const std::size_t n = particles.size();
     double hmax = 0.0;
@@ -102,14 +105,14 @@ std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborL
         }
     }
 
-    out.offsets.assign(n + 1, 0);
-    out.list.clear();
-    out.truncated.clear();
     const auto ngmax = static_cast<std::size_t>(out.ngmax);
+    out.counts.resize(n);
+    if (out.list.size() < n * ngmax) out.list.resize(n * ngmax);
+    std::vector<std::uint32_t> pre_cap(n);
 
-    std::size_t total_pairs = 0;
-    std::vector<std::uint32_t> found;
-    for (std::size_t i = 0; i < n; ++i) {
+    for_each_particle(n, max_threads, [&](std::size_t i) {
+        // Reused per thread, so only a thread's first particles allocate.
+        thread_local std::vector<std::uint32_t> found;
         found.clear();
         const Vec3 xi = particles.pos(i);
         const double radius = 2.0 * particles.h[i];
@@ -138,17 +141,24 @@ std::size_t find_all_neighbors(ParticleSet& particles, const Box& box, NeighborL
             }
         }
 
-        total_pairs += found.size();
+        pre_cap[i] = static_cast<std::uint32_t>(found.size());
         if (found.size() > ngmax) {
             // Keep the lowest (SFC-ordered) indices so the kept set does not
             // depend on the cell layout.
-            out.truncated.push_back(static_cast<int>(i));
-            std::sort(found.begin(), found.end());
+            std::partial_sort(found.begin(), found.begin() + ngmax, found.end());
             found.resize(ngmax);
         }
         particles.nc[i] = static_cast<int>(found.size());
-        out.offsets[i + 1] = out.offsets[i] + static_cast<std::uint32_t>(found.size());
-        out.list.insert(out.list.end(), found.begin(), found.end());
+        out.counts[i] = static_cast<std::uint32_t>(found.size());
+        std::copy(found.begin(), found.end(), out.list.begin() + i * ngmax);
+    });
+
+    // Serial, index-ordered reductions.
+    out.truncated.clear();
+    std::size_t total_pairs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        total_pairs += pre_cap[i];
+        if (pre_cap[i] > ngmax) out.truncated.push_back(static_cast<int>(i));
     }
     return total_pairs;
 }

@@ -154,14 +154,7 @@ TuneResult KernelTuner::tune_kernel(const std::string& kernel_name,
         out.edp = out.time_s * out.energy_j;
         result.configs[i] = std::move(out);
     };
-    if (n_threads_ > 1 && space.size() > 1) {
-        util::ThreadPool pool(
-            std::min(n_threads_, static_cast<int>(space.size())));
-        pool.parallel_for(space.size(), price);
-    }
-    else {
-        for (std::size_t i = 0; i < space.size(); ++i) price(i);
-    }
+    util::ThreadPool::shared().parallel_for(space.size(), price, n_threads_);
     result.launches =
         static_cast<long>(space.size()) * static_cast<long>(1 + iterations_);
     static telemetry::Counter& launches = sweep_counter("tuner.sweep.launches");
@@ -351,15 +344,8 @@ std::vector<FunctionSweepEntry> sweep_sph_functions(const sim::WorkloadTrace& tr
     auto sweep_one = [&](std::size_t i) {
         sweep[i] = sweep_one_function(candidates[i], spec, options);
     };
-    const int resolved = util::ThreadPool::resolve_threads(options.n_threads);
-    if (resolved > 1 && candidates.size() > 1) {
-        util::ThreadPool pool(
-            std::min(resolved, static_cast<int>(candidates.size())));
-        pool.parallel_for(candidates.size(), sweep_one);
-    }
-    else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) sweep_one(i);
-    }
+    util::ThreadPool::shared().parallel_for(candidates.size(), sweep_one,
+                                            options.n_threads);
     return sweep;
 }
 

@@ -83,8 +83,9 @@ public:
 
     /// `spec`: the device model the sweep runs on; `iterations`: launches
     /// per configuration (KernelTuner benchmarks each configuration several
-    /// times and averages); `n_threads`: host threads pricing configurations
-    /// concurrently (<= 0: hardware concurrency, 1: serial).  Every
+    /// times and averages); `n_threads`: host threads of the shared pool
+    /// pricing configurations concurrently (<= 0: the whole pool, one per
+    /// available CPU; 1: serial).  Every
     /// configuration runs on its own fresh device, so results are
     /// independent of scheduling and identical across thread counts.
     explicit KernelTuner(gpusim::GpuDeviceSpec spec, int iterations = 7,
@@ -151,8 +152,9 @@ struct SweepCandidate {
 /// Everything sweep_sph_functions needs besides the trace and device.
 struct SweepOptions {
     std::vector<double> frequencies; ///< empty: paper_frequency_band(spec)
-    /// Host threads sweeping functions concurrently (<= 0: hardware
-    /// concurrency, 1: serial); inner tuners stay serial either way.
+    /// Host threads of the shared pool sweeping functions concurrently
+    /// (<= 0: the whole pool, one per available CPU; 1: serial); inner
+    /// tuners stay serial either way.
     int n_threads = 1;
     SweepStrategy strategy = SweepStrategy::kExhaustive;
     int iterations = 7; ///< measured launches per full-rate configuration

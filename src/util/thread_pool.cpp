@@ -2,13 +2,29 @@
 
 #include <algorithm>
 
+#include <sched.h>
+
 namespace gsph::util {
 
 int ThreadPool::resolve_threads(int requested)
 {
     if (requested > 0) return requested;
+    // A cpuset-limited container reports the host's cores through
+    // hardware_concurrency(); the affinity mask holds the ones we may use.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        const int allowed = CPU_COUNT(&mask);
+        if (allowed > 0) return allowed;
+    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+ThreadPool& ThreadPool::shared()
+{
+    static ThreadPool pool(0);
+    return pool;
 }
 
 ThreadPool::ThreadPool(int n_threads) : size_(std::max(1, resolve_threads(n_threads)))
@@ -54,10 +70,15 @@ void ThreadPool::worker_loop()
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body)
+                              const std::function<void(std::size_t)>& body,
+                              int max_threads)
 {
     if (n == 0) return;
-    if (workers_.empty() || n == 1) {
+    std::size_t helpers = std::min(workers_.size(), n - 1);
+    if (max_threads > 0) {
+        helpers = std::min(helpers, static_cast<std::size_t>(max_threads - 1));
+    }
+    if (helpers == 0) {
         for (std::size_t i = 0; i < n; ++i) body(i);
         return;
     }
@@ -99,7 +120,6 @@ void ThreadPool::parallel_for(std::size_t n,
 
     // One helper task per worker that could usefully claim an index; the
     // calling thread drains alongside them.
-    const std::size_t helpers = std::min(workers_.size(), n - 1);
     for (std::size_t i = 0; i < helpers; ++i) enqueue(drain);
     drain();
 

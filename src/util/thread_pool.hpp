@@ -2,10 +2,10 @@
 /// \file thread_pool.hpp
 /// \brief Fixed-size worker pool with an exception-propagating parallel_for.
 ///
-/// The simulator's hot loops (the driver's per-step rank loop, the
-/// KernelTuner frequency sweep) are embarrassingly parallel: every work item
-/// owns its state and the caller merges results in a fixed order.  This pool
-/// provides exactly that shape:
+/// The simulator's hot loops (the per-particle SPH passes, the driver's
+/// per-step rank loop, the KernelTuner frequency sweep) are embarrassingly
+/// parallel: every work item owns its state and the caller merges results
+/// in a fixed order.  This pool provides exactly that shape:
 ///
 ///   - a fixed number of worker threads created once (no per-call spawn);
 ///   - parallel_for(n, body): the calling thread participates, indices are
@@ -13,6 +13,13 @@
 ///     index completed.  The first exception thrown by any body is captured
 ///     and rethrown on the calling thread (remaining indices are skipped);
 ///   - submit(f): a future-returning escape hatch for irregular tasks.
+///
+/// ThreadPool::shared() is the one process-wide pool, built on first use
+/// with one thread per CPU the process may run on.  Callers that want
+/// fewer threads pass a per-call cap to parallel_for instead of building a
+/// pool of their own.  parallel_for nests: a body may call parallel_for on
+/// the same pool, because the calling thread drains every index it can
+/// claim and waits only for indices another thread is already running.
 ///
 /// A pool of size 1 has no workers at all: parallel_for degenerates to a
 /// plain inline loop, byte-for-byte the legacy serial path.  Determinism is
@@ -48,15 +55,23 @@ public:
     int size() const { return size_; }
 
     /// Map a thread-count request to an effective pool size: <= 0 means
-    /// "use the hardware concurrency", anything else is taken as-is.
+    /// "one per CPU in the process affinity mask" (the hardware concurrency
+    /// when the mask cannot be read), anything else is taken as-is.
     static int resolve_threads(int requested);
+
+    /// The process-wide pool of resolve_threads(0) threads, built on first
+    /// use and joined at exit.
+    static ThreadPool& shared();
 
     /// Run body(0) .. body(n-1), concurrently when the pool has workers.
     /// Blocks until every index finished.  The first exception from any
     /// body is rethrown here; once one is captured, unclaimed indices are
     /// skipped.  Bodies must synchronize access to shared state themselves
     /// (the usual pattern: write to a per-index slot, reduce after).
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+    /// `max_threads` > 0 caps the concurrency of this call, the calling
+    /// thread included; 1 runs the plain inline loop.
+    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+                      int max_threads = 0);
 
     /// Enqueue one task; the future carries its result or exception.  On a
     /// pool of size 1 (no workers) the task runs inline before returning.

@@ -116,6 +116,21 @@ TEST(Workload, GoldenTraceHashes)
     }
 }
 
+TEST(Workload, TracesAreByteIdenticalOnOneAndFourThreads)
+{
+    // The golden specs again: every pooled per-particle pass writes only
+    // its own particle's slots and every total is summed in index order.
+    for (const WorkloadKind kind : {WorkloadKind::kSubsonicTurbulence,
+                                    WorkloadKind::kEvrardCollapse,
+                                    WorkloadKind::kSedovBlast}) {
+        WorkloadSpec spec = small_spec(kind);
+        spec.n_steps = 10;
+        EXPECT_EQ(record_trace(spec, nullptr, 1).serialize(),
+                  record_trace(spec, nullptr, 4).serialize())
+            << to_string(kind);
+    }
+}
+
 TEST(Workload, InvalidSpecsThrow)
 {
     auto spec = small_spec(WorkloadKind::kSubsonicTurbulence);

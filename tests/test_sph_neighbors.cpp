@@ -68,16 +68,24 @@ TEST_P(NeighborPeriodicityTest, MatchesBruteForce)
     EXPECT_EQ(to_pairs(nl, ps.size()), brute_force(ps, box));
 }
 
-TEST_P(NeighborPeriodicityTest, CountsMatchOffsets)
+TEST_P(NeighborPeriodicityTest, CountsMatchStoredPairs)
 {
     const Box box = Box::cube(0.0, 1.0, GetParam());
     ParticleSet ps = random_particles(200, box, 0.1, 78);
     NeighborList nl;
-    find_all_neighbors(ps, box, nl);
+    const std::size_t pre_cap = find_all_neighbors(ps, box, nl);
+    ASSERT_EQ(nl.counts.size(), ps.size());
+    ASSERT_GE(nl.list.size(), ps.size() * static_cast<std::size_t>(nl.ngmax));
+    std::size_t sum = 0;
     for (std::size_t i = 0; i < ps.size(); ++i) {
         EXPECT_EQ(static_cast<std::size_t>(ps.nc[i]), nl.count(i));
+        EXPECT_EQ(nl.end(i) - nl.begin(i), static_cast<std::ptrdiff_t>(nl.count(i)));
+        sum += nl.count(i);
     }
-    EXPECT_EQ(nl.offsets.back(), nl.list.size());
+    // Nobody reaches ngmax here, so every pair found is stored.
+    EXPECT_TRUE(nl.truncated.empty());
+    EXPECT_EQ(sum, nl.total_pairs());
+    EXPECT_EQ(sum, pre_cap);
 }
 
 INSTANTIATE_TEST_SUITE_P(OpenAndPeriodic, NeighborPeriodicityTest, ::testing::Bool());
@@ -160,6 +168,28 @@ TEST(Neighbors, PreCapPairCountAtLeastStored)
     nl.ngmax = 30;
     const std::size_t pre_cap = find_all_neighbors(ps, box, nl);
     EXPECT_GE(pre_cap, nl.total_pairs());
+}
+
+TEST(Neighbors, SameListsOnOneAndFourThreads)
+{
+    // Half the particles overflow ngmax, so the truncation order and the
+    // pre-cap total are covered too.
+    const Box box = Box::cube(0.0, 1.0, true);
+    ParticleSet serial = random_particles(600, box, 0.12, 86);
+    for (std::size_t i = 0; i < serial.size(); i += 2) serial.h[i] = 0.2;
+    ParticleSet pooled = serial;
+    NeighborList a, b;
+    a.ngmax = b.ngmax = 40;
+    EXPECT_EQ(find_all_neighbors(serial, box, a, 1), find_all_neighbors(pooled, box, b, 4));
+    EXPECT_FALSE(a.truncated.empty());
+    EXPECT_EQ(a.truncated, b.truncated);
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(serial.nc, pooled.nc);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(std::vector<std::uint32_t>(a.begin(i), a.end(i)),
+                  std::vector<std::uint32_t>(b.begin(i), b.end(i)))
+            << i;
+    }
 }
 
 TEST(Neighbors, NonPositiveHThrows)

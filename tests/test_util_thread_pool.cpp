@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -18,6 +23,23 @@ TEST(ThreadPool, ResolveThreadsMapsNonPositiveToHardware)
     EXPECT_EQ(ThreadPool::resolve_threads(1), 1);
     EXPECT_GE(ThreadPool::resolve_threads(0), 1);
     EXPECT_GE(ThreadPool::resolve_threads(-3), 1);
+}
+
+TEST(ThreadPool, ResolveThreadsCountsTheAffinityMask)
+{
+    // 0 means the CPUs this process may run on, not the host's cores.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+    EXPECT_EQ(ThreadPool::resolve_threads(0), CPU_COUNT(&mask));
+    EXPECT_EQ(ThreadPool::resolve_threads(-1), CPU_COUNT(&mask));
+}
+
+TEST(ThreadPool, SharedPoolIsBuiltOnceWithEveryAvailableCpu)
+{
+    ThreadPool& pool = ThreadPool::shared();
+    EXPECT_EQ(&pool, &ThreadPool::shared());
+    EXPECT_EQ(pool.size(), ThreadPool::resolve_threads(0));
 }
 
 TEST(ThreadPool, SizeCountsTheCallingThread)
@@ -125,6 +147,53 @@ TEST(ThreadPool, ParallelForUsesMultipleThreadsWhenAvailable)
     // The calling thread always participates; on a 1-core host the helpers
     // still exist as threads, so more than one id shows up.
     EXPECT_GE(ids.size(), 2u);
+}
+
+TEST(ThreadPool, ConcurrencyCapLimitsTheThreadsOfOneCall)
+{
+    ThreadPool pool(4);
+    for (const int cap : {1, 2, 3}) {
+        std::mutex mutex;
+        std::set<std::thread::id> ids;
+        std::vector<int> hits(48, 0);
+        pool.parallel_for(
+            hits.size(),
+            [&](std::size_t i) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                ++hits[i];
+                std::lock_guard<std::mutex> lock(mutex);
+                ids.insert(std::this_thread::get_id());
+            },
+            cap);
+        EXPECT_LE(ids.size(), static_cast<std::size_t>(cap)) << "cap " << cap;
+        EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 48) << "cap " << cap;
+        if (cap == 1) {
+            ASSERT_EQ(ids.size(), 1u);
+            EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+        }
+    }
+}
+
+TEST(ThreadPool, NestedParallelForOnTheSharedPoolFinishes)
+{
+    // A body that itself calls parallel_for on the same pool: every worker
+    // may be busy in an outer body while its inner helpers wait in the
+    // queue, so the inner call must be able to finish on its own thread.
+    ThreadPool& pool = ThreadPool::shared();
+    constexpr std::size_t kOuter = 16;
+    constexpr std::size_t kInner = 64;
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::vector<std::size_t>> slots(kOuter,
+                                                    std::vector<std::size_t>(kInner, 0));
+        pool.parallel_for(kOuter, [&](std::size_t o) {
+            pool.parallel_for(kInner, [&](std::size_t i) { slots[o][i] = o * kInner + i; });
+        });
+        for (std::size_t o = 0; o < kOuter; ++o) {
+            for (std::size_t i = 0; i < kInner; ++i) {
+                ASSERT_EQ(slots[o][i], o * kInner + i) << "round " << round;
+            }
+        }
+    }
 }
 
 TEST(ThreadPool, SubmitReturnsValueThroughFuture)

@@ -33,8 +33,9 @@
 ///   --policy baseline|static:<mhz>|dvfs|mandyn|online   (baseline)
 ///   --ranks N                         (1)
 ///   --steps N                         (10)
-///   --threads N        host worker threads; 0 = hardware concurrency,
-///                      1 = serial; results are identical either way  (0)
+///   --threads N        host threads for physics recording, sweeps and
+///                      ranks; 0 = one per available CPU, 1 = serial;
+///                      results are identical either way  (0)
 ///   --nside N          real-physics resolution           (10)
 ///   --particles-per-gpu X             (91125000 = 450^3)
 ///   --objective time|energy|edp|ed2p  tuning objective   (edp)
@@ -140,7 +141,7 @@ struct Options {
     std::string tune_strategy = "exhaustive"; ///< online policy: exhaustive|model
     int ranks = 1;
     int steps = 10;
-    int threads = 0; ///< 0: hardware concurrency, 1: serial
+    int threads = 0; ///< 0: one per available CPU, 1: serial
     int nside = 10;
     double particles_per_gpu = 450.0 * 450.0 * 450.0;
     std::string trace_in;
@@ -514,7 +515,7 @@ sim::WorkloadTrace load_or_record(const Options& opt)
     spec.real_nside = opt.nside;
     std::cout << "Recording " << spec.n_steps << " steps of " << sim::to_string(spec.kind)
               << " physics at " << opt.nside << "^3...\n";
-    auto trace = sim::record_trace(spec);
+    auto trace = sim::record_trace(spec, nullptr, opt.threads);
     if (!opt.trace_out.empty()) {
         std::ofstream out(opt.trace_out);
         out << trace.serialize();
