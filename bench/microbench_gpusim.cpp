@@ -1,6 +1,7 @@
 /// google-benchmark microbenchmarks of the device-model substrate: kernel
-/// pricing, locked/governed execution, governor stepping and the
-/// instrumented-driver overhead per simulated function call.
+/// pricing, locked/governed execution (uncapped and under a tight power
+/// cap), governor stepping and the instrumented-driver overhead per
+/// simulated function call.
 
 #include "gpusim/device.hpp"
 #include "gpusim/roofline.hpp"
@@ -59,6 +60,38 @@ void BM_ExecuteGoverned(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ExecuteGoverned);
+
+/// A cap at 45 % of the modelled TDP, as tight as perfbench's fleet budget:
+/// most kernels throttle well below the requested clock.
+void set_tight_cap(gpusim::GpuDevice& dev)
+{
+    dev.set_power_limit_w(0.45 * dev.default_power_limit_w());
+}
+
+void BM_ExecuteLockedPowerCapped(benchmark::State& state)
+{
+    gpusim::GpuDevice dev(gpusim::a100_sxm4_80g());
+    set_tight_cap(dev);
+    const auto work = sample_work();
+    for (auto _ : state) {
+        const auto r = dev.execute(work);
+        benchmark::DoNotOptimize(r.energy_j);
+    }
+}
+BENCHMARK(BM_ExecuteLockedPowerCapped);
+
+void BM_ExecuteGovernedPowerCapped(benchmark::State& state)
+{
+    gpusim::GpuDevice dev(gpusim::a100_sxm4_80g());
+    dev.set_clock_policy(gpusim::ClockPolicy::kNativeDvfs);
+    set_tight_cap(dev);
+    const auto work = sample_work();
+    for (auto _ : state) {
+        const auto r = dev.execute(work);
+        benchmark::DoNotOptimize(r.energy_j);
+    }
+}
+BENCHMARK(BM_ExecuteGovernedPowerCapped);
 
 void BM_GovernorStep(benchmark::State& state)
 {

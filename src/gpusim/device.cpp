@@ -3,6 +3,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace gsph::gpusim {
@@ -80,19 +81,45 @@ double GpuDevice::default_power_limit_w() const
     return spec_.idle_w + spec_.sm_dynamic_w + spec_.issue_w + spec_.mem_dynamic_w;
 }
 
-double GpuDevice::throttle_for_power(const KernelWork& work, double requested_mhz,
-                                     bool governor_managed) const
+ThrottledClock detail::search_capped_clock(const GpuDeviceSpec& spec,
+                                           const PowerModel& model, const KernelWork& work,
+                                           double requested_mhz, double limit_w,
+                                           double mem_scale, bool governor_managed)
 {
-    if (power_limit_w_ <= 0.0) return requested_mhz;
-    const double mem_scale = mem_clock_mhz_ / spec_.memory_clock_mhz;
-    double f = spec_.quantize_clock(requested_mhz);
-    while (f > spec_.min_compute_mhz) {
-        const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
-        const PowerBreakdown p = power_model_.busy_power(t, f, governor_managed);
-        if (p.total_w <= power_limit_w_) break;
-        f = spec_.quantize_clock(f - spec_.clock_step_mhz);
+    const auto priced = [&](double mhz) {
+        return ThrottledClock{mhz, price_kernel(spec, work, mhz, mem_scale)};
+    };
+    const auto fits = [&](const ThrottledClock& c) {
+        return model.busy_power(c.timing, c.mhz, governor_managed).total_w <= limit_w;
+    };
+    const ThrottledClock top = priced(spec.quantize_clock(requested_mhz));
+    if (top.mhz <= spec.min_compute_mhz || fits(top)) return top;
+
+    // Grid index k is the clock quantize_clock rounds to k steps above the
+    // minimum.  The first index below the top comes from quantize_clock
+    // itself, so a maximum clock off the step grid steps down as it would.
+    const auto clock_at = [&spec](long k) {
+        return std::min(spec.max_compute_mhz,
+                        spec.min_compute_mhz + static_cast<double>(k) * spec.clock_step_mhz);
+    };
+    const double below = spec.quantize_clock(top.mhz - spec.clock_step_mhz);
+    // Invariant: index `lo` fits (or is 0, the unevaluated minimum) and
+    // index `hi` does not.
+    long lo = 0;
+    long hi = std::lround((below - spec.min_compute_mhz) / spec.clock_step_mhz) + 1;
+    ThrottledClock best;
+    while (hi - lo > 1) {
+        const long mid = lo + (hi - lo) / 2;
+        const ThrottledClock c = priced(clock_at(mid));
+        if (fits(c)) {
+            lo = mid;
+            best = c;
+        }
+        else {
+            hi = mid;
+        }
     }
-    return f;
+    return lo > 0 ? best : priced(spec.min_compute_mhz);
 }
 
 void GpuDevice::reset_application_clocks()
@@ -138,9 +165,10 @@ KernelResult GpuDevice::execute(const KernelWork& work)
 
 KernelResult GpuDevice::execute_locked(const KernelWork& work)
 {
-    const double f = throttle_for_power(work, app_clock_mhz_, false);
     const double mem_scale = mem_clock_mhz_ / spec_.memory_clock_mhz;
-    const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
+    const auto [f, t] = throttle_for_power(spec_, power_model_, work, app_clock_mhz_,
+                                           power_limit_w_, mem_scale,
+                                           /*governor_managed=*/false);
 
     KernelResult r;
     r.timing = t;
@@ -186,8 +214,9 @@ KernelResult GpuDevice::execute_governed(const KernelWork& work)
 
     int guard_iterations = 0;
     while (progress < 1.0 && ++guard_iterations < 2'000'000) {
-        const double f = throttle_for_power(work, governor_.current_mhz(), true);
-        const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
+        const auto [f, t] = throttle_for_power(spec_, power_model_, work,
+                                               governor_.current_mhz(), power_limit_w_,
+                                               mem_scale, /*governor_managed=*/true);
         rep = t;
         if (t.total_s <= 0.0) break;
 

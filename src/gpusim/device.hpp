@@ -39,6 +39,47 @@ struct KernelResult {
     double mean_power_w = 0.0;  ///< energy / duration
 };
 
+/// A clock chosen under a board power limit, with the batch priced there.
+struct ThrottledClock {
+    double mhz = 0.0;
+    KernelTiming timing; ///< price_kernel(spec, work, mhz, mem_scale)
+};
+
+namespace detail {
+/// The search behind throttle_for_power for `limit_w > 0`, out of line so
+/// that the uncapped test inlines into every execute path.
+ThrottledClock search_capped_clock(const GpuDeviceSpec& spec, const PowerModel& model,
+                                   const KernelWork& work, double requested_mhz,
+                                   double limit_w, double mem_scale, bool governor_managed);
+} // namespace detail
+
+/// Firmware power-cap throttling: the compute clock a batch of `work` runs
+/// at when `requested_mhz` is asked for under a busy-power limit of
+/// `limit_w` watts.  Pure; the full contract is:
+///  - `limit_w <= 0` (uncapped): `requested_mhz`, unquantized.
+///  - Otherwise, with f0 = spec.quantize_clock(requested_mhz): f0 when f0
+///    is the minimum clock or its busy power is <= `limit_w`.
+///  - Otherwise the highest supported clock below f0 whose busy power is
+///    <= `limit_w`, built exactly as quantize_clock builds it.
+///  - Otherwise (no clock fits) `spec.min_compute_mhz`, even though it draws
+///    more than `limit_w`: the firmware cannot throttle below its minimum.
+/// Busy power is `model.busy_power` of the batch priced at memory-clock
+/// scale `mem_scale`, with the auto-boost guard band when
+/// `governor_managed`.  It rises strictly with the clock, so a bisection
+/// over grid indices finds the clock a step-by-step descent from f0 would,
+/// bit for bit, in O(log n) pricings of the batch (DESIGN.md §7).
+inline ThrottledClock throttle_for_power(const GpuDeviceSpec& spec, const PowerModel& model,
+                                         const KernelWork& work, double requested_mhz,
+                                         double limit_w, double mem_scale,
+                                         bool governor_managed)
+{
+    if (limit_w <= 0.0) {
+        return {requested_mhz, price_kernel(spec, work, requested_mhz, mem_scale)};
+    }
+    return detail::search_capped_clock(spec, model, work, requested_mhz, limit_w, mem_scale,
+                                       governor_managed);
+}
+
 class GpuDevice {
 public:
     explicit GpuDevice(GpuDeviceSpec spec, int index = 0);
@@ -103,10 +144,6 @@ private:
     /// Move the effective compute clock, counting distinct transitions into
     /// the telemetry registry ("governor.transitions").
     void transition_to(double mhz);
-    /// Highest clock <= `requested_mhz` whose busy power for `work` fits
-    /// under the power limit (requested clock when uncapped).
-    double throttle_for_power(const KernelWork& work, double requested_mhz,
-                              bool governor_managed) const;
     void record(double time, double clock_mhz, double power_w);
     void account(double dt, double power_w);
 

@@ -1,8 +1,9 @@
 /// Fleet subsystem tests: scheduler semantics (FCFS + conservative
 /// backfill), power-budget negotiation, job-mix determinism, end-to-end
 /// fleet runs with Slurm accounting, 256-node/1024-GPU thread bit-identity,
-/// checkpoint pause/resume bit-identity, and CLI-level kill -> resume of a
-/// fleet run (fork/exec, SIGKILL via the fault injector).
+/// checkpoint pause/resume bit-identity, golden digests of power-capped
+/// runs, and CLI-level kill -> resume of a fleet run (fork/exec, SIGKILL via
+/// the fault injector).
 ///
 /// GSPH_CLI_PATH is injected by CMake as $<TARGET_FILE:greensph_cli>.
 
@@ -12,14 +13,17 @@
 #include "sim/workload.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/checksum.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -200,10 +204,11 @@ const sim::WorkloadTrace& trace()
     return t;
 }
 
-fleet::FleetConfig small_fleet(fleet::FleetPolicy policy)
+fleet::FleetConfig small_fleet(fleet::FleetPolicy policy,
+                               const sim::SystemSpec& system = sim::cscs_a100())
 {
     fleet::FleetConfig cfg;
-    cfg.system = sim::cscs_a100();
+    cfg.system = system;
     cfg.trace = trace();
     cfg.n_nodes = 4;
     cfg.policy = policy;
@@ -318,6 +323,56 @@ TEST(FleetDeterminism, Fleet256NodesBitIdenticalAcrossThreads)
     cfg.n_threads = 8;
     const auto parallel = fleet::run_fleet(cfg);
     expect_identical(serial, parallel);
+}
+
+/// Appends the object representation of `value` to `bytes`.
+template <typename T>
+void append_bits(std::string& bytes, T value)
+{
+    char raw[sizeof(T)];
+    std::memcpy(raw, &value, sizeof(T));
+    bytes.append(raw, sizeof(T));
+}
+
+TEST(Fleet, GoldenCappedRunDigests)
+{
+    // FNV-1a/64 of the bits of each capped run's makespan, node and GPU
+    // energy, node EDP and round count.  Every capped kernel goes through
+    // the power-cap clock search, so these pin its choices bit for bit.
+    // Update them only for a deliberate change of behaviour.
+    struct Golden {
+        const char* system;
+        fleet::FleetPolicy policy;
+        double budget_frac; ///< of the fleet's summed node TDP
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {"cscs", fleet::FleetPolicy::kUniformCap, 0.60, 0xde74a397fc488362ull},
+        {"cscs", fleet::FleetPolicy::kUniformCap, 0.45, 0x72861119516ed1cfull},
+        {"cscs", fleet::FleetPolicy::kNegotiated, 0.60, 0x8e8f422e03fbd815ull},
+        {"cscs", fleet::FleetPolicy::kNegotiated, 0.45, 0x8a150ab32957ace6ull},
+        {"lumi", fleet::FleetPolicy::kUniformCap, 0.60, 0x0cd7a1dc87529471ull},
+        {"lumi", fleet::FleetPolicy::kUniformCap, 0.45, 0xa17f04dc149aab83ull},
+        {"lumi", fleet::FleetPolicy::kNegotiated, 0.60, 0xa9b273cf28ac7e42ull},
+        {"lumi", fleet::FleetPolicy::kNegotiated, 0.45, 0xa17f04dc149aab83ull},
+    };
+    for (const Golden& g : goldens) {
+        auto cfg = small_fleet(g.policy, sim::system_by_name(g.system));
+        const fleet::PowerCoordinator probe(fleet::FleetPolicy::kUncapped, 0.0,
+                                            cfg.system, cfg.n_nodes);
+        cfg.budget_w = g.budget_frac * cfg.n_nodes * probe.node_tdp_w();
+        cfg.n_threads = 4;
+        const auto result = fleet::run_fleet(cfg);
+        std::string bytes;
+        append_bits(bytes, result.makespan_s);
+        append_bits(bytes, result.node_energy_j);
+        append_bits(bytes, result.gpu_energy_j);
+        append_bits(bytes, result.node_edp());
+        append_bits(bytes, std::int64_t{result.rounds});
+        EXPECT_EQ(util::fnv1a64(bytes), g.digest)
+            << g.system << ' ' << fleet::to_string(g.policy) << ' ' << g.budget_frac
+            << " -> 0x" << util::hex64(util::fnv1a64(bytes));
+    }
 }
 
 class TempDir {
