@@ -1,14 +1,16 @@
-/// Host-side thread scaling of the parallel execution engine.
+/// Host-side cost of the driver and thread scaling of the tuner sweep.
 ///
-/// Two subjects, each measured at 1 thread (the exact legacy serial path)
-/// and at N threads:
-///   - an 8-rank instrumented run under the native-DVFS governor (the
-///     per-tick governor work makes rank execution genuinely CPU-bound),
-///   - a 7-frequency KernelTuner sweep of one heavy SPH kernel.
-/// Both produce bit-identical results at every thread count, so the only
-/// thing that changes is wall-clock time.  Speedup requires physical
-/// cores: on a single-core host the threads=N series collapses onto
-/// threads=1 (plus a small pool overhead).
+/// Two subjects:
+///   - an 8-rank instrumented run under the native-DVFS governor, timed
+///     at 1 thread only: the driver steps its ranks serially whatever
+///     RunConfig::n_threads says, so a thread series would time the same
+///     path twice,
+///   - a 7-frequency KernelTuner sweep of one heavy SPH kernel, at 1
+///     thread (the exact legacy serial path) and at N threads.  Its
+///     results are bit-identical at every thread count, so the only thing
+///     that changes is wall-clock time.  Speedup requires physical cores:
+///     on a single-core host the threads=N series collapses onto
+///     threads=1 (plus a small pool overhead).
 
 #include "core/policy.hpp"
 #include "sim/driver.hpp"
@@ -86,7 +88,7 @@ int max_threads()
 
 } // namespace
 
-BENCHMARK(BM_RunInstrumented)->Arg(1)->Arg(max_threads())->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunInstrumented)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TunerSweep)->Arg(1)->Arg(max_threads())->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

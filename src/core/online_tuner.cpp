@@ -282,10 +282,11 @@ void OnlineManDynPolicy::before(int rank, gpusim::GpuDevice& dev, sph::SphFuncti
 
     if (rank == 0) {
         // Latch the follower target before any rank-0 state mutates this
-        // call.  Rank 0's before-hook runs ahead of every follower's in
-        // both the serial and the pooled driver, while rank 0's *after*
-        // hook does not — computing the estimate here (and only here) keeps
-        // follower decisions bit-identical across thread counts.
+        // call.  Rank 0's before-hook runs ahead of every follower's, and
+        // its after-hook (which may record a sample or converge) runs
+        // ahead of them too; computing the estimate here, and only here,
+        // makes every follower of a call take the estimate as it stood
+        // when the call began.
         learner.follower_mhz = learner.converged       ? learner.chosen_mhz
                                : learner.any_samples() ? learner.best_edp_clock()
                                                        : learner.clocks.back();
@@ -300,8 +301,8 @@ void OnlineManDynPolicy::before(int rank, gpusim::GpuDevice& dev, sph::SphFuncti
         // the exploration cost of large jobs.  During warmup no candidate
         // has samples yet and the latch holds the top clock — not the
         // bottom of the band.  Followers must not read converged/chosen
-        // directly: rank 0's after-hook can flip them mid-call on the
-        // serial path but not on the pooled path.
+        // directly: rank 0's after-hook can flip them mid-call, and the
+        // run's bytes are defined by the latched value.
         target = learner.follower_mhz;
     }
 

@@ -20,7 +20,7 @@
 ///     observable in --metrics-json rather than inferred from energy plots.
 ///
 /// Per-rank state is unsynchronized by design: the driver serializes
-/// before/after hooks in rank order (see RunConfig::n_threads), the same
+/// before/after hooks in rank order (see sim::RunHooks), the same
 /// contract FrequencyController relies on.
 
 #include "core/clock_backend.hpp"

@@ -7,9 +7,7 @@
 #include "telemetry/metrics.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -266,22 +264,12 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
         ckpt_writer.emplace(config.checkpoint_dir, config.config_hash);
     }
 
-    // Parallel execution engine: rank work items between the collective
-    // barriers are independent (each drives its own GpuDevice), so they can
-    // run on a thread pool.  Per-rank results land in rank-indexed slots
-    // and are reduced in rank order, which keeps every floating-point
-    // accumulation in the exact serial order: results are bit-identical to
-    // n_threads == 1.  Hooks always fire on this (the driving) thread, in
-    // rank order — before-hooks ahead of the parallel region, after-hooks
-    // behind it — so hook consumers need no internal locking.
-    const int pool_threads =
-        std::min(util::ThreadPool::resolve_threads(config.n_threads), config.n_ranks);
-    std::optional<util::ThreadPool> pool;
-    if (pool_threads > 1) pool.emplace(pool_threads);
-    std::vector<gpusim::KernelResult> rank_results(
-        static_cast<std::size_t>(config.n_ranks));
-
     // --- the time-stepping loop -------------------------------------------
+    // Ranks run one after another on this thread: before-hook, execute and
+    // after-hook for rank r, then rank r + 1.  A rank's kernel costs well
+    // under a microsecond of host time, too little to pay for handing ranks
+    // to worker threads, and the one order is the hook contract for every
+    // RunConfig::n_threads.
     auto& agg = result.per_function;
     for (int s = start_step; s < n_steps; ++s) {
         result.step_start_times.push_back(cluster.rank_gpu(0).now());
@@ -290,52 +278,19 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
         int call_index = 0;
         for (const FunctionRecord& fr : rec.functions) {
             const std::size_t fi = static_cast<std::size_t>(fr.fn);
-            auto execute_rank = [&](int r) {
+            for (int r = 0; r < config.n_ranks; ++r) {
+                gpusim::GpuDevice& dev = cluster.rank_gpu(r);
+                if (hooks.before_function) hooks.before_function(r, dev, fr.fn);
                 const double jit = work_jitter(config.rank_jitter, r, s, call_index);
-                const gpusim::KernelWork work = gpusim::scaled(fr.work, scale * jit);
-                rank_results[static_cast<std::size_t>(r)] =
-                    cluster.rank_gpu(r).execute(work);
-            };
-            auto merge_rank = [&](int r) {
-                const gpusim::KernelResult& res =
-                    rank_results[static_cast<std::size_t>(r)];
+                const gpusim::KernelResult res =
+                    dev.execute(gpusim::scaled(fr.work, scale * jit));
                 calls_counter.inc();
                 const double duration = res.end_s - res.start_s;
                 agg[fi].time_s += duration;
                 agg[fi].gpu_energy_j += res.energy_j;
                 agg[fi].clock_time_product += res.mean_clock_mhz * duration;
                 ++agg[fi].calls;
-            };
-            if (pool) {
-                for (int r = 0; r < config.n_ranks; ++r) {
-                    if (hooks.before_function) {
-                        hooks.before_function(r, cluster.rank_gpu(r), fr.fn);
-                    }
-                }
-                pool->parallel_for(static_cast<std::size_t>(config.n_ranks),
-                                   [&](std::size_t r) {
-                                       execute_rank(static_cast<int>(r));
-                                   });
-                for (int r = 0; r < config.n_ranks; ++r) {
-                    merge_rank(r);
-                    if (hooks.after_function) {
-                        hooks.after_function(r, cluster.rank_gpu(r), fr.fn,
-                                             rank_results[static_cast<std::size_t>(r)]);
-                    }
-                }
-            }
-            else {
-                for (int r = 0; r < config.n_ranks; ++r) {
-                    if (hooks.before_function) {
-                        hooks.before_function(r, cluster.rank_gpu(r), fr.fn);
-                    }
-                    execute_rank(r);
-                    merge_rank(r);
-                    if (hooks.after_function) {
-                        hooks.after_function(r, cluster.rank_gpu(r), fr.fn,
-                                             rank_results[static_cast<std::size_t>(r)]);
-                    }
-                }
+                if (hooks.after_function) hooks.after_function(r, dev, fr.fn, res);
             }
 
             // Communication attributed to the function that caused it.

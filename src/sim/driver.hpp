@@ -29,17 +29,10 @@ namespace gsph::sim {
 struct RunConfig {
     int n_ranks = 1;
     int n_steps = -1; ///< -1: use the trace's step count
-    /// Host threads executing rank work items concurrently (util::ThreadPool).
-    /// <= 0: hardware concurrency; 1: the exact legacy serial path.  Results
-    /// are bit-identical across thread counts: per-rank contributions are
-    /// reduced in rank order, and hooks fire on the driving thread in rank
-    /// order (all before-hooks, concurrent execution, all after-hooks per
-    /// function call), so hook consumers need no synchronization.  Note the
-    /// serial path interleaves rank 0's after-hook before the follower
-    /// ranks' before-hooks of the same call while the pooled path does not;
-    /// hooks carrying cross-rank state within one call must latch it in
-    /// rank 0's before-hook (which runs first on both paths) the way
-    /// OnlineManDyn latches its follower clock.
+    /// The run's host thread cap (the CLI's --threads), kept so that callers
+    /// which set it still build.  run_instrumented ignores it: it always
+    /// steps the ranks one after another on the calling thread, so results
+    /// and the hook order are the same for every value.
     int n_threads = 0;
     /// Job launch + application initialization before the loop (GPUs idle);
     /// Slurm accounts for it, PMT does not (paper §IV-A).
@@ -75,6 +68,10 @@ struct RunConfig {
     const checkpoint::StateRegistry* checkpoint_participants = nullptr;
 };
 
+/// Hooks fire on the calling thread, one rank at a time and in rank order:
+/// before_function(r), the function's kernels on rank r, after_function(r),
+/// then rank r + 1.  A hook may therefore read what the previous rank's
+/// after-hook wrote within the same call, and needs no locking.
 struct RunHooks {
     /// Fired before a function executes on a rank; the ManDyn controller
     /// sets application clocks here.

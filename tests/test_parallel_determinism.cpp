@@ -1,8 +1,10 @@
 /// Serial-vs-parallel determinism: the parallel execution engine promises
 /// bit-identical results for any thread count.  Every test here runs the
 /// same work at n_threads = 1 (the exact legacy path) and n_threads = 8
-/// (more threads than this container has cores — the pool machinery is
-/// exercised regardless) and compares with operator== on doubles.
+/// (more threads than most hosts have cores — the pool machinery is
+/// exercised regardless) and compares with operator== on doubles.  The
+/// driver steps its ranks serially for every n_threads; its tests pin that
+/// a thread count changes neither its results nor its hook order.
 
 #include "core/policy.hpp"
 #include "core/profiler.hpp"
@@ -11,6 +13,9 @@
 #include "tuning/kernel_tuner.hpp"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 namespace gsph {
 namespace {
@@ -129,6 +134,40 @@ TEST(ParallelDeterminism, ManDynWithProfilerAndTracerMatchesSerial)
     EXPECT_EQ(events_1, events_8);
     EXPECT_EQ(joules_1, joules_8);
     EXPECT_GT(joules_1, 0.0);
+}
+
+TEST(ParallelDeterminism, HooksInterleavePerRankOnEveryThreadCount)
+{
+    // Pinned thread counts, so that a host with one CPU (where n_threads = 0
+    // resolves to 1) still compares a multi-thread run against the serial
+    // one.  Each entry is (rank, +1 for before / -1 for after).
+    auto record = [&](int n_threads) {
+        std::vector<std::pair<int, int>> events;
+        sim::RunHooks hooks;
+        hooks.before_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction) {
+            events.emplace_back(rank, +1);
+        };
+        hooks.after_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction,
+                                   const gpusim::KernelResult&) {
+            events.emplace_back(rank, -1);
+        };
+        sim::run_instrumented(sim::mini_hpc(), trace(), config(n_threads), hooks);
+        return events;
+    };
+    const auto serial = record(1);
+    const auto threaded = record(4);
+    EXPECT_EQ(serial, threaded);
+
+    // Strict interleave: before(r), after(r), then rank r + 1, wrapping to
+    // rank 0 at the next function call.
+    const int n_ranks = config(1).n_ranks;
+    ASSERT_FALSE(serial.empty());
+    ASSERT_EQ(serial.size() % static_cast<std::size_t>(2 * n_ranks), 0u);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        const int expected_rank = static_cast<int>((i / 2) % static_cast<std::size_t>(n_ranks));
+        const int expected_kind = i % 2 == 0 ? +1 : -1;
+        ASSERT_EQ(serial[i], std::make_pair(expected_rank, expected_kind)) << "event " << i;
+    }
 }
 
 TEST(ParallelDeterminism, TuneKernelMatchesSerialInSweepOrder)

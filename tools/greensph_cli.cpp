@@ -34,7 +34,7 @@
 ///   --ranks N                         (1)
 ///   --steps N                         (10)
 ///   --threads N        host threads for physics recording, sweeps and
-///                      ranks; 0 = one per available CPU, 1 = serial;
+///                      fleet nodes; 0 = one per available CPU, 1 = serial;
 ///                      results are identical either way  (0)
 ///   --nside N          real-physics resolution           (10)
 ///   --particles-per-gpu X             (91125000 = 450^3)
