@@ -39,7 +39,7 @@ int main(int argc, char** argv)
     const auto system = sim::mini_hpc();
     const auto trace = bench::turbulence_trace(50e6, /*n_steps=*/20,
                                                /*real_nside=*/8);
-    const auto sweep = tuning::sweep_sph_functions(trace, system.gpu, {}, 1);
+    const auto sweep = tuning::sweep_sph_functions(trace, system.gpu);
     auto policy = core::make_mandyn_policy(
         tuning::table_from_sweep(sweep, system.gpu.default_app_clock_mhz),
         tuning::audit_info_from_sweep(sweep), system.gpu.vendor);

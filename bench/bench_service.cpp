@@ -81,7 +81,6 @@ int main(int argc, char** argv)
 
     telemetry::MetricsRegistry::global().reset();
     service::ServiceConfig cfg;
-    cfg.n_threads = 0; // shard the cold sweep across hardware threads
     cfg.producer = "bench_service";
     service::TuningService service(cfg);
 
@@ -113,7 +112,6 @@ int main(int argc, char** argv)
     // driven by the inline-swept policy.
     tuning::SweepOptions sweep_options;
     sweep_options.frequencies = request.band;
-    sweep_options.n_threads = 0;
     const auto sweep = tuning::sweep_sph_functions(trace, system.gpu, sweep_options);
     const auto inline_run = replay(
         system, trace, tuning::table_from_sweep(sweep, system.gpu.default_app_clock_mhz),

@@ -43,11 +43,8 @@ int main(int argc, char** argv)
     for (double f : band) std::cout << ' ' << util::format_fixed(f, 0);
     std::cout << " MHz  (strategy: " << tuning::to_string(strategy) << ")\n\n";
 
-    // One host thread per SPH function (n_threads = 0: hardware concurrency);
-    // the sweep result is identical to the serial run.
     tuning::SweepOptions options;
     options.frequencies = band;
-    options.n_threads = 0;
     options.strategy = strategy;
     const auto sweep = tuning::sweep_sph_functions(trace, spec, options);
 

@@ -29,7 +29,7 @@ int main()
     util::CsvWriter csv({"clock_mhz", "nside", "edp_ratio", "time_ratio", "energy_ratio"});
 
     // Every (clock, size) point is an independent single-rank run, so the
-    // whole grid prices concurrently on a host thread pool.  The NVML
+    // whole grid prices concurrently on the shared thread pool.  The NVML
     // binding is process-global, so concurrent runs must skip it — safe
     // here because baseline/static policies configure clocks through
     // RunConfig and never touch the management library.
@@ -48,8 +48,8 @@ int main()
     // Baselines per size at 1410, then the full frequency grid.
     std::vector<sim::RunResult> baselines(sides.size());
     std::vector<sim::RunResult> grid(freqs.size() * sides.size());
-    util::ThreadPool pool;
-    pool.parallel_for(baselines.size() + grid.size(), [&](std::size_t i) {
+    const std::size_t n_points = baselines.size() + grid.size();
+    util::ThreadPool::shared().parallel_for(n_points, [&](std::size_t i) {
         if (i < baselines.size()) {
             baselines[i] = run_point(sides[i], /*clock_mhz=*/-1.0);
         }

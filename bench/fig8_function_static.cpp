@@ -29,8 +29,7 @@ int main()
     const std::vector<double> freqs = {1320.0, 1215.0, 1110.0, 1005.0};
     sim::RunResult baseline;
     std::vector<sim::RunResult> runs(freqs.size());
-    util::ThreadPool pool;
-    pool.parallel_for(1 + freqs.size(), [&](std::size_t i) {
+    util::ThreadPool::shared().parallel_for(1 + freqs.size(), [&](std::size_t i) {
         if (i == 0) {
             auto policy = core::make_baseline_policy();
             baseline = core::run_with_policy(sim::mini_hpc(), trace, cfg, *policy);

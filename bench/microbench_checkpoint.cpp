@@ -120,7 +120,6 @@ sim::RunResult run_once(int checkpoint_every, const std::string& dir)
     auto policy = core::make_static_policy(1200.0);
     sim::RunConfig cfg;
     cfg.n_ranks = 4;
-    cfg.n_threads = 1;
     cfg.setup_s = 0.0;
     cfg.teardown_s = 0.0;
     cfg.bind_nvml = false;

@@ -1,26 +1,22 @@
-/// Host-side cost of the driver and thread scaling of the tuner sweep.
+/// Host-side cost of two paths that run on one thread.
 ///
 /// Two subjects:
-///   - an 8-rank instrumented run under the native-DVFS governor, timed
-///     at 1 thread only: the driver steps its ranks serially whatever
-///     RunConfig::n_threads says, so a thread series would time the same
-///     path twice,
-///   - a 7-frequency KernelTuner sweep of one heavy SPH kernel, at 1
-///     thread (the exact legacy serial path) and at N threads.  Its
-///     results are bit-identical at every thread count, so the only thing
-///     that changes is wall-clock time.  Speedup requires physical cores:
-///     on a single-core host the threads=N series collapses onto
-///     threads=1 (plus a small pool overhead).
+///   - an 8-rank instrumented run under the native-DVFS governor: the
+///     driver steps its ranks one after another on the calling thread,
+///   - a 7-frequency KernelTuner sweep of one heavy SPH kernel: the tuner
+///     prices its clocks one after another on the calling thread.
+///
+/// Neither uses worker threads: a rank's kernel or a configuration costs
+/// well under a microsecond of host time, less than handing it to a
+/// worker.  These numbers are the yardstick for any proposal to run
+/// either path on threads.
 
 #include "core/policy.hpp"
 #include "sim/driver.hpp"
 #include "sim/workload.hpp"
 #include "tuning/kernel_tuner.hpp"
-#include "util/thread_pool.hpp"
 
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 namespace {
 
@@ -44,7 +40,6 @@ void BM_RunInstrumented(benchmark::State& state)
     const auto& trace = shared_trace();
     sim::RunConfig cfg;
     cfg.n_ranks = 8;
-    cfg.n_threads = static_cast<int>(state.range(0));
     cfg.setup_s = 0.0;
     cfg.teardown_s = 0.0;
     cfg.bind_nvml = false; // no NVML hooks; keeps concurrent runs legal
@@ -70,8 +65,7 @@ void BM_TunerSweep(benchmark::State& state)
             break;
         }
     }
-    tuning::KernelTuner tuner(spec, /*iterations=*/7,
-                              static_cast<int>(state.range(0)));
+    tuning::KernelTuner tuner(spec, /*iterations=*/7);
     for (auto _ : state) {
         auto result = tuner.tune_kernel(
             "MomentumEnergy",
@@ -81,14 +75,9 @@ void BM_TunerSweep(benchmark::State& state)
     }
 }
 
-int max_threads()
-{
-    return util::ThreadPool::resolve_threads(0);
-}
-
 } // namespace
 
-BENCHMARK(BM_RunInstrumented)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TunerSweep)->Arg(1)->Arg(max_threads())->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunInstrumented)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TunerSweep)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

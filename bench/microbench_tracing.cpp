@@ -70,7 +70,6 @@ service::TuneRequest bench_request()
 service::ServiceConfig service_config()
 {
     service::ServiceConfig cfg;
-    cfg.n_threads = 1; // serial sweep: least scheduling noise
     cfg.producer = "microbench_tracing";
     return cfg;
 }

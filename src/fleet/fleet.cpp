@@ -126,9 +126,7 @@ FleetResult run_fleet(const FleetConfig& config)
                             : core::reference_a100_turbulence_table();
     const bool per_kernel_clocks = config.policy == FleetPolicy::kNegotiated;
 
-    const int pool_threads = util::ThreadPool::resolve_threads(config.n_threads);
-    std::optional<util::ThreadPool> pool;
-    if (pool_threads > 1) pool.emplace(pool_threads);
+    const int max_threads = util::ThreadPool::resolve_threads(config.n_threads);
 
     // Deterministic fleet trace identity: derived from the config hash, so
     // re-runs (and every --threads N) produce the same trace/span ids.
@@ -454,8 +452,8 @@ FleetResult run_fleet(const FleetConfig& config)
 
         // (4) one workload step per running job, parallel over (job, node)
         // work items.  Each item drives only its own node's devices and
-        // writes no shared floats, so the result is identical for any pool
-        // size; the merge below runs serially in fixed order.
+        // writes no shared floats, so the result is identical for any
+        // thread count; the merge below runs serially in fixed order.
         struct Item {
             std::size_t job;
             int slot;
@@ -494,11 +492,7 @@ FleetResult run_fleet(const FleetConfig& config)
                 ++call;
             }
         };
-        if (pool) {
-            pool->parallel_for(items.size(), body);
-        } else {
-            for (std::size_t i = 0; i < items.size(); ++i) body(i);
-        }
+        util::ThreadPool::shared().parallel_for(items.size(), body, max_threads);
 
         // (5) serial merge: intra-job barrier, sampler catch-up, demand.
         for (RunningJob& rj : running) {

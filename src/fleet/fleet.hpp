@@ -14,10 +14,10 @@
 ///
 /// Execution is round-based with the established phased pattern: serial
 /// admission + scheduling + cap apportionment, then one workload step per
-/// running job executed in parallel over (job, node) work items on a
-/// util::ThreadPool (each item only touches its own node's devices), then a
-/// serial merge in item order (intra-job barrier, sampler catch-up, demand
-/// measurement, completions).  No floating-point accumulation happens in
+/// running job executed in parallel over (job, node) work items on
+/// util::ThreadPool::shared(), at most `n_threads` at a time (each item
+/// only touches its own node's devices), then a serial merge in item order
+/// (intra-job barrier, sampler catch-up, demand measurement, completions).  No floating-point accumulation happens in
 /// the parallel phase, so a 256-node / 1000-GPU fleet is bit-identical for
 /// any --threads N.
 ///
@@ -85,7 +85,7 @@ struct FleetConfig {
     /// A100 turbulence table.
     std::optional<core::FrequencyTable> mandyn_table;
 
-    int n_threads = 1;
+    int n_threads = 1; ///< node-step threads (<= 0: every available CPU)
     double setup_s = 2.0;    ///< per-job launch phase (Slurm accounts it)
     double teardown_s = 1.0;
     double rank_jitter = 0.0;

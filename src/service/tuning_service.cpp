@@ -428,7 +428,7 @@ std::vector<std::string> artifact_mismatches(const PolicyArtifact& artifact,
 }
 
 TuningService::TuningService(ServiceConfig config)
-    : config_(std::move(config)), pool_(config_.n_threads),
+    : config_(std::move(config)),
       store_(PolicyStoreConfig{config_.store_dir, config_.cache_entries,
                                config_.store_ttl_s, config_.store_max_artifacts})
 {
@@ -519,31 +519,17 @@ std::string TuningService::run_sweep(const TuneRequest& request,
         ++sweeps_;
     }
 
-    const std::vector<tuning::SweepCandidate> candidates =
-        tuning::sweep_candidates(request.trace);
-
     tuning::SweepOptions options;
     options.frequencies = request.resolved_band();
-    options.n_threads = 1; // sharding is the shared pool's job, inner serial
     options.strategy = request.strategy;
     options.iterations = request.iterations;
     options.model = request.model;
 
-    // Shard per-function sweeps across the shared pool; concurrent requests
-    // interleave fairly through its FIFO queue.  Collecting futures in
-    // candidate order makes the merged sweep independent of scheduling.
-    std::vector<std::future<tuning::FunctionSweepEntry>> futures;
-    futures.reserve(candidates.size());
-    for (const auto& candidate : candidates) {
-        futures.push_back(pool_.submit([candidate, &request, &options, &scope] {
-            SpanGuard sweep_span(scope,
-                                 "sweep:" + std::string(sph::to_string(candidate.fn)));
-            return tuning::sweep_one_function(candidate, request.device, options);
-        }));
-    }
     std::vector<tuning::FunctionSweepEntry> sweep;
-    sweep.reserve(futures.size());
-    for (auto& future : futures) sweep.push_back(future.get());
+    for (const auto& candidate : tuning::sweep_candidates(request.trace)) {
+        SpanGuard sweep_span(scope, "sweep:" + std::string(sph::to_string(candidate.fn)));
+        sweep.push_back(tuning::sweep_one_function(candidate, request.device, options));
+    }
 
     return artifact_from_sweep(request, sweep, config_.producer,
                                scope.active() ? scope.ctx.trace_id()

@@ -22,8 +22,9 @@
 ///
 /// TuningService::tune() is the daemon's engine but has no HTTP in it:
 /// store lookup -> singleflight dedup (concurrent identical requests ride
-/// one sweep) -> per-function sweeps sharded across a shared thread pool,
-/// merged in function order so results are independent of scheduling.
+/// one sweep) -> per-function sweeps in function order on the calling
+/// thread.  Concurrent distinct requests overlap through the HTTP handler
+/// threads; a sweep itself is too cheap to pay for worker threads.
 
 #include "core/controller.hpp"
 #include "core/frequency_table.hpp"
@@ -33,7 +34,6 @@
 #include "sim/workload.hpp"
 #include "telemetry/json.hpp"
 #include "tuning/kernel_tuner.hpp"
-#include "util/thread_pool.hpp"
 
 #include <future>
 #include <map>
@@ -122,7 +122,7 @@ std::vector<std::string> artifact_mismatches(const PolicyArtifact& artifact,
                                              const TuneRequest& local);
 
 struct ServiceConfig {
-    /// Sweep pool size (<= 0: hardware concurrency, 1: inline/serial).
+    /// Read by nothing: sweeps run serially; kept only because perfbench sets it.
     int n_threads = 1;
     /// Store directory (empty: memory-only) and memory-tier capacity.
     std::string store_dir;
@@ -145,7 +145,7 @@ public:
     /// sweep failures propagate to every coalesced waiter.
     ///
     /// With an active `scope`, spans are recorded for the store lookup, the
-    /// singleflight coalesce wait, each sharded per-function sweep and the
+    /// singleflight coalesce wait, each per-function sweep and the
     /// artifact commit, and a fresh sweep's artifact carries the scope's
     /// trace id in provenance.
     std::string tune(const TuneRequest& request, bool* cache_hit = nullptr,
@@ -159,7 +159,6 @@ private:
     std::string run_sweep(const TuneRequest& request, const TraceScope& scope);
 
     ServiceConfig config_;
-    util::ThreadPool pool_;
     PolicyStore store_;
 
     std::mutex inflight_mutex_;

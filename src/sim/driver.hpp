@@ -29,10 +29,7 @@ namespace gsph::sim {
 struct RunConfig {
     int n_ranks = 1;
     int n_steps = -1; ///< -1: use the trace's step count
-    /// The run's host thread cap (the CLI's --threads), kept so that callers
-    /// which set it still build.  run_instrumented ignores it: it always
-    /// steps the ranks one after another on the calling thread, so results
-    /// and the hook order are the same for every value.
+    /// Read by nothing: ranks step serially; kept only because perfbench sets it.
     int n_threads = 0;
     /// Job launch + application initialization before the loop (GPUs idle);
     /// Slurm accounts for it, PMT does not (paper §IV-A).

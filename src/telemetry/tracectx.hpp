@@ -4,7 +4,7 @@
 /// a W3C `traceparent`-style wire encoding.
 ///
 /// One context threads a request through every hop — CLI thin client →
-/// daemon HTTP handler → singleflight → sharded per-function sweeps — so a
+/// daemon HTTP handler → singleflight → per-function sweeps — so a
 /// single Perfetto file shows the whole causal chain under one trace id.
 /// Unlike production tracers the ids are *deterministic*: they are FNV-1a
 /// hashes of the originating seed (request key, config hash, ...), never

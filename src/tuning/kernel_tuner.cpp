@@ -2,7 +2,6 @@
 
 #include "telemetry/metrics.hpp"
 #include "tuning/freq_model.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -63,9 +62,8 @@ const TuneConfig& TuneResult::chosen_or_best(Objective objective) const
     return best(objective);
 }
 
-KernelTuner::KernelTuner(gpusim::GpuDeviceSpec spec, int iterations, int n_threads)
-    : spec_(std::move(spec)), iterations_(iterations),
-      n_threads_(util::ThreadPool::resolve_threads(n_threads))
+KernelTuner::KernelTuner(gpusim::GpuDeviceSpec spec, int iterations)
+    : spec_(std::move(spec)), iterations_(iterations)
 {
     spec_.validate();
     if (iterations_ < 1) throw std::invalid_argument("KernelTuner: iterations < 1");
@@ -99,64 +97,31 @@ TuneResult KernelTuner::tune_kernel(const std::string& kernel_name,
     (void)problem_size; // fixed per sweep (the paper fixes 450^3); kept for
                         // interface fidelity with KernelTuner
 
-    // Cartesian product of the parameter lists (brute-force strategy, the
-    // KernelTuner default).  Only "core_freq_mhz" is actually applied to the
-    // device, so an unrecognized key would silently multiply the search
-    // space with identically-priced duplicates — reject it up front.
-    std::vector<std::map<std::string, double>> space{{}};
-    for (const auto& [key, values] : params) {
-        if (key != "core_freq_mhz") {
+    // Brute force over the one parameter this reproduction tunes.  Any
+    // other key would silently multiply the search space with
+    // identically-priced duplicates — reject it up front.
+    for (const auto& entry : params) {
+        if (entry.first != "core_freq_mhz") {
             throw std::invalid_argument("KernelTuner: unknown tunable parameter '" +
-                                        key + "' (only 'core_freq_mhz' is supported)");
+                                        entry.first +
+                                        "' (only 'core_freq_mhz' is supported)");
         }
-        if (values.empty()) {
-            throw std::invalid_argument("KernelTuner: empty value list for " + key);
-        }
-        std::vector<std::map<std::string, double>> next;
-        next.reserve(space.size() * values.size());
-        for (const auto& partial : space) {
-            for (double v : values) {
-                auto config = partial;
-                config[key] = v;
-                next.push_back(std::move(config));
-            }
-        }
-        space = std::move(next);
+    }
+    const auto clocks = params.find("core_freq_mhz");
+    if (clocks == params.end() || clocks->second.empty()) {
+        throw std::invalid_argument("KernelTuner: empty value list for core_freq_mhz");
     }
 
+    static telemetry::Counter& configs_priced = sweep_counter("tuner.sweep.configs");
     TuneResult result;
     result.kernel_name = kernel_name;
-    result.configs.resize(space.size());
-
-    static telemetry::Counter& configs_priced = sweep_counter("tuner.sweep.configs");
-    // Each configuration runs on its own fresh device, so configurations are
-    // independent and can be priced concurrently; writing results by index
-    // keeps `configs` in sweep order for any thread count.
-    auto price = [&](std::size_t i) {
-        const std::map<std::string, double>& config = space[i];
+    result.configs.reserve(clocks->second.size());
+    for (double core_mhz : clocks->second) {
         configs_priced.inc();
-        gpusim::GpuDevice device(spec_);
-        device.set_clock_policy(gpusim::ClockPolicy::kLockedAppClock);
-        const auto it = config.find("core_freq_mhz");
-        if (it != config.end()) {
-            device.set_application_clocks(spec_.memory_clock_mhz, it->second);
-        }
-
-        // Warm-up launch (discarded), then measured iterations.
-        launcher(device);
-        const double t0 = device.now();
-        const double e0 = device.energy_j();
-        for (int i_launch = 0; i_launch < iterations_; ++i_launch) launcher(device);
-        TuneConfig out;
-        out.params = config;
-        out.time_s = (device.now() - t0) / iterations_;
-        out.energy_j = (device.energy_j() - e0) / iterations_;
-        out.edp = out.time_s * out.energy_j;
-        result.configs[i] = std::move(out);
-    };
-    util::ThreadPool::shared().parallel_for(space.size(), price, n_threads_);
+        result.configs.push_back(price_clock(launcher, core_mhz, iterations_));
+    }
     result.launches =
-        static_cast<long>(space.size()) * static_cast<long>(1 + iterations_);
+        static_cast<long>(result.configs.size()) * static_cast<long>(1 + iterations_);
     static telemetry::Counter& launches = sweep_counter("tuner.sweep.launches");
     launches.inc(static_cast<double>(result.launches));
     return result;
@@ -307,7 +272,7 @@ FunctionSweepEntry sweep_one_function(const SweepCandidate& candidate,
 
     const std::vector<double> frequencies =
         options.frequencies.empty() ? paper_frequency_band(spec) : options.frequencies;
-    KernelTuner tuner(spec, options.iterations, /*n_threads=*/1);
+    KernelTuner tuner(spec, options.iterations);
     const gpusim::KernelWork& kernel = candidate.kernel;
     const auto launcher = [&kernel](gpusim::GpuDevice& dev) { dev.execute(kernel); };
 
@@ -334,30 +299,11 @@ std::vector<FunctionSweepEntry> sweep_sph_functions(const sim::WorkloadTrace& tr
                                                     const gpusim::GpuDeviceSpec& spec,
                                                     const SweepOptions& options)
 {
-    const std::vector<SweepCandidate> candidates = sweep_candidates(trace);
-
-    // Each function's sweep builds its own fresh devices, so functions are
-    // independent: parallelize across functions and keep every inner tuner
-    // serial (avoids nested pools oversubscribing the host).  Writing by
-    // index keeps the sweep in function order for any thread count.
-    std::vector<FunctionSweepEntry> sweep(candidates.size());
-    auto sweep_one = [&](std::size_t i) {
-        sweep[i] = sweep_one_function(candidates[i], spec, options);
-    };
-    util::ThreadPool::shared().parallel_for(candidates.size(), sweep_one,
-                                            options.n_threads);
+    std::vector<FunctionSweepEntry> sweep;
+    for (const SweepCandidate& candidate : sweep_candidates(trace)) {
+        sweep.push_back(sweep_one_function(candidate, spec, options));
+    }
     return sweep;
-}
-
-std::vector<FunctionSweepEntry> sweep_sph_functions(const sim::WorkloadTrace& trace,
-                                                    const gpusim::GpuDeviceSpec& spec,
-                                                    std::vector<double> frequencies,
-                                                    int n_threads)
-{
-    SweepOptions options;
-    options.frequencies = std::move(frequencies);
-    options.n_threads = n_threads;
-    return sweep_sph_functions(trace, spec, options);
 }
 
 core::FrequencyTable table_from_sweep(const std::vector<FunctionSweepEntry>& sweep,

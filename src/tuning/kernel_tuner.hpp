@@ -83,21 +83,20 @@ public:
 
     /// `spec`: the device model the sweep runs on; `iterations`: launches
     /// per configuration (KernelTuner benchmarks each configuration several
-    /// times and averages); `n_threads`: host threads of the shared pool
-    /// pricing configurations concurrently (<= 0: the whole pool, one per
-    /// available CPU; 1: serial).  Every
-    /// configuration runs on its own fresh device, so results are
-    /// independent of scheduling and identical across thread counts.
-    explicit KernelTuner(gpusim::GpuDeviceSpec spec, int iterations = 7,
-                         int n_threads = 1);
+    /// times and averages).  Configurations are priced in order on the
+    /// calling thread, each on its own fresh device: a simulated
+    /// configuration costs well under a microsecond of host time, less
+    /// than handing it to a worker thread.
+    explicit KernelTuner(gpusim::GpuDeviceSpec spec, int iterations = 7);
 
-    /// Brute-force search over the cartesian product of `params`.  The only
+    /// Brute-force search over the values in `params`.  The only
     /// recognized parameter is "core_freq_mhz", applied through
     /// nvmlDeviceSetApplicationsClocks-equivalent clock locking (this
     /// reproduction only tunes the clock, matching the paper's usage); any
     /// other key throws std::invalid_argument naming the key, instead of
-    /// silently pricing identical configurations.  `result.configs` keeps
-    /// sweep (cartesian-product) order regardless of n_threads.
+    /// silently pricing identical configurations, and an empty `params`
+    /// (nothing to sweep) throws too.  `result.configs` keeps the order of
+    /// the "core_freq_mhz" list.
     TuneResult tune_kernel(const std::string& kernel_name, const Launcher& launcher,
                            std::int64_t problem_size,
                            const std::map<std::string, std::vector<double>>& params);
@@ -118,7 +117,6 @@ public:
                                  const ModelSweepOptions& options = {});
 
     const gpusim::GpuDeviceSpec& spec() const { return spec_; }
-    int n_threads() const { return n_threads_; }
     int iterations() const { return iterations_; }
 
 private:
@@ -127,7 +125,6 @@ private:
 
     gpusim::GpuDeviceSpec spec_;
     int iterations_;
-    int n_threads_;
 };
 
 /// The paper's frequency band: 1005..1410 MHz in 7 steps (A100); "we have
@@ -152,9 +149,7 @@ struct SweepCandidate {
 /// Everything sweep_sph_functions needs besides the trace and device.
 struct SweepOptions {
     std::vector<double> frequencies; ///< empty: paper_frequency_band(spec)
-    /// Host threads of the shared pool sweeping functions concurrently
-    /// (<= 0: the whole pool, one per available CPU; 1: serial); inner
-    /// tuners stay serial either way.
+    /// Read by nothing: sweeps run serially; kept only because perfbench sets it.
     int n_threads = 1;
     SweepStrategy strategy = SweepStrategy::kExhaustive;
     int iterations = 7; ///< measured launches per full-rate configuration
@@ -162,13 +157,12 @@ struct SweepOptions {
 };
 
 /// The trace -> kernels-under-test distillation behind sweep_sph_functions,
-/// exposed so the tuning service can shard per-function sweeps across its
-/// own pool.  Returns candidates in function order; functions with no
-/// recorded work are skipped.  Throws on an empty trace.
+/// exposed so the tuning service can record one span per function's sweep.
+/// Returns candidates in function order; functions with no recorded work
+/// are skipped.  Throws on an empty trace.
 std::vector<SweepCandidate> sweep_candidates(const sim::WorkloadTrace& trace);
 
-/// Sweep a single candidate (serial inner tuner).  Deterministic in
-/// (candidate, spec, options): safe to run concurrently across candidates.
+/// Sweep a single candidate.  Deterministic in (candidate, spec, options).
 FunctionSweepEntry sweep_one_function(const SweepCandidate& candidate,
                                       const gpusim::GpuDeviceSpec& spec,
                                       const SweepOptions& options);
@@ -177,17 +171,11 @@ FunctionSweepEntry sweep_one_function(const SweepCandidate& candidate,
 /// `options.frequencies` (empty: paper band), with the per-step work of
 /// that function as the kernel under test, scaled to the trace's
 /// particles-per-GPU.  Returns the per-function sweep results (Fig. 2) in
-/// function order.  `options.n_threads` sweeps the functions concurrently;
-/// each function's inner tuner stays serial to avoid oversubscription, and
-/// results are identical across thread counts.
+/// function order; the functions are swept one after another on the
+/// calling thread.
 std::vector<FunctionSweepEntry> sweep_sph_functions(const sim::WorkloadTrace& trace,
                                                     const gpusim::GpuDeviceSpec& spec,
-                                                    const SweepOptions& options);
-
-/// Back-compat convenience overload (exhaustive strategy).
-std::vector<FunctionSweepEntry> sweep_sph_functions(
-    const sim::WorkloadTrace& trace, const gpusim::GpuDeviceSpec& spec,
-    std::vector<double> frequencies = {}, int n_threads = 1);
+                                                    const SweepOptions& options = {});
 
 /// Reduce a sweep to the ManDyn clock table (best EDP per function).
 core::FrequencyTable table_from_sweep(const std::vector<FunctionSweepEntry>& sweep,

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
 
 #include <sched.h>
 

@@ -2,17 +2,17 @@
 /// \file thread_pool.hpp
 /// \brief Fixed-size worker pool with an exception-propagating parallel_for.
 ///
-/// The simulator's hot loops (the per-particle SPH passes, the driver's
-/// per-step rank loop, the KernelTuner frequency sweep) are embarrassingly
-/// parallel: every work item owns its state and the caller merges results
-/// in a fixed order.  This pool provides exactly that shape:
+/// Threads pay only where a work item is large: the per-particle SPH
+/// passes (sph/parallel.hpp) and the fleet's per-round node steps.  Both
+/// are embarrassingly parallel: every work item owns its state and the
+/// caller merges results in a fixed order.  This pool provides exactly
+/// that shape:
 ///
 ///   - a fixed number of worker threads created once (no per-call spawn);
 ///   - parallel_for(n, body): the calling thread participates, indices are
 ///     claimed from an atomic cursor, and the call returns only after every
 ///     index completed.  The first exception thrown by any body is captured
-///     and rethrown on the calling thread (remaining indices are skipped);
-///   - submit(f): a future-returning escape hatch for irregular tasks.
+///     and rethrown on the calling thread (remaining indices are skipped).
 ///
 /// ThreadPool::shared() is the one process-wide pool, built on first use
 /// with one thread per CPU the process may run on.  Callers that want
@@ -21,21 +21,17 @@
 /// the same pool, because the calling thread drains every index it can
 /// claim and waits only for indices another thread is already running.
 ///
-/// A pool of size 1 has no workers at all: parallel_for degenerates to a
-/// plain inline loop, byte-for-byte the legacy serial path.  Determinism is
-/// the caller's job (and easy): run items concurrently, reduce in index
-/// order.
+/// A cap of 1 (or a pool of size 1) runs the plain inline loop.
+/// Determinism is the caller's job (and easy): run items concurrently,
+/// reduce in index order.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace gsph::util {
@@ -72,23 +68,6 @@ public:
     /// thread included; 1 runs the plain inline loop.
     void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                       int max_threads = 0);
-
-    /// Enqueue one task; the future carries its result or exception.  On a
-    /// pool of size 1 (no workers) the task runs inline before returning.
-    template <typename F>
-    std::future<std::invoke_result_t<F>> submit(F f)
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(std::move(f));
-        std::future<R> future = task->get_future();
-        if (workers_.empty()) {
-            (*task)();
-        }
-        else {
-            enqueue([task]() { (*task)(); });
-        }
-        return future;
-    }
 
 private:
     void enqueue(std::function<void()> job);

@@ -10,7 +10,6 @@
 #include "core/profiler.hpp"
 #include "sim/driver.hpp"
 #include "telemetry/run_tracer.hpp"
-#include "tuning/kernel_tuner.hpp"
 
 #include <gtest/gtest.h>
 
@@ -167,51 +166,6 @@ TEST(ParallelDeterminism, HooksInterleavePerRankOnEveryThreadCount)
         const int expected_rank = static_cast<int>((i / 2) % static_cast<std::size_t>(n_ranks));
         const int expected_kind = i % 2 == 0 ? +1 : -1;
         ASSERT_EQ(serial[i], std::make_pair(expected_rank, expected_kind)) << "event " << i;
-    }
-}
-
-TEST(ParallelDeterminism, TuneKernelMatchesSerialInSweepOrder)
-{
-    const auto spec = sim::mini_hpc().gpu;
-    const auto band = tuning::paper_frequency_band(spec);
-    gpusim::KernelWork kernel = trace().steps.front().functions.front().work;
-    kernel = gpusim::scaled(kernel, trace().work_scale());
-
-    auto sweep = [&](int n_threads) {
-        tuning::KernelTuner tuner(spec, /*iterations=*/5, n_threads);
-        return tuner.tune_kernel(
-            "kernel", [&kernel](gpusim::GpuDevice& dev) { dev.execute(kernel); },
-            kernel.threads, {{"core_freq_mhz", band}});
-    };
-    const auto serial = sweep(1);
-    const auto parallel = sweep(8);
-    ASSERT_EQ(serial.configs.size(), parallel.configs.size());
-    ASSERT_EQ(serial.configs.size(), band.size());
-    for (std::size_t i = 0; i < serial.configs.size(); ++i) {
-        // Sweep order preserved and every price bit-identical.
-        EXPECT_EQ(serial.configs[i].params.at("core_freq_mhz"), band[i]);
-        EXPECT_EQ(parallel.configs[i].params.at("core_freq_mhz"), band[i]);
-        EXPECT_EQ(serial.configs[i].time_s, parallel.configs[i].time_s);
-        EXPECT_EQ(serial.configs[i].energy_j, parallel.configs[i].energy_j);
-        EXPECT_EQ(serial.configs[i].edp, parallel.configs[i].edp);
-    }
-}
-
-TEST(ParallelDeterminism, SweepSphFunctionsMatchesSerialInFunctionOrder)
-{
-    const auto spec = sim::mini_hpc().gpu;
-    const auto serial = tuning::sweep_sph_functions(trace(), spec, {}, 1);
-    const auto parallel = tuning::sweep_sph_functions(trace(), spec, {}, 8);
-    ASSERT_EQ(serial.size(), parallel.size());
-    ASSERT_FALSE(serial.empty());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].fn, parallel[i].fn);
-        EXPECT_EQ(serial[i].best_edp_mhz, parallel[i].best_edp_mhz);
-        EXPECT_EQ(serial[i].best_energy_mhz, parallel[i].best_energy_mhz);
-        ASSERT_EQ(serial[i].result.configs.size(), parallel[i].result.configs.size());
-        for (std::size_t c = 0; c < serial[i].result.configs.size(); ++c) {
-            EXPECT_EQ(serial[i].result.configs[c].edp, parallel[i].result.configs[c].edp);
-        }
     }
 }
 

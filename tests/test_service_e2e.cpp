@@ -35,7 +35,6 @@ TuneRequest e2e_request()
 TEST(ServiceE2e, SubmitFetchAndCacheHitOverLoopback)
 {
     DaemonConfig config;
-    config.service.n_threads = 2;
     TuningDaemon daemon(config);
     daemon.start();
     const std::uint16_t port = daemon.port();

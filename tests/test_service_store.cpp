@@ -71,7 +71,6 @@ TuneRequest small_request()
 ServiceConfig memory_config()
 {
     ServiceConfig cfg;
-    cfg.n_threads = 2;
     cfg.producer = "test";
     return cfg;
 }

@@ -218,7 +218,6 @@ std::size_t check_trace_doc(const std::string& text, const std::string& trace_id
 TEST(DaemonTracing, TraceparentRoundTripAndTraceFetch)
 {
     DaemonConfig config;
-    config.service.n_threads = 2;
     TuningDaemon daemon(config);
     daemon.start();
     const std::uint16_t port = daemon.port();
@@ -272,7 +271,6 @@ TEST(DaemonTracing, ConcurrentRequestsEmitSeparateBalancedTraces)
 {
     DaemonConfig config;
     config.handler_threads = 4;
-    config.service.n_threads = 2;
     TuningDaemon daemon(config);
     daemon.start();
     const std::uint16_t port = daemon.port();

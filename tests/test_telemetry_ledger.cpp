@@ -57,7 +57,7 @@ const TunedManDyn& tuned()
 {
     static const TunedManDyn t = [] {
         const auto spec = sim::mini_hpc().gpu;
-        const auto sweep = tuning::sweep_sph_functions(trace(), spec, {}, 1);
+        const auto sweep = tuning::sweep_sph_functions(trace(), spec);
         TunedManDyn out;
         out.table = tuning::table_from_sweep(sweep, spec.default_app_clock_mhz);
         out.audit = tuning::audit_info_from_sweep(sweep);

@@ -46,11 +46,14 @@ TEST(KernelTuner, SweepsAllRequestedFrequencies)
 {
     KernelTuner tuner(gpusim::a100_pcie_40g(), 3);
     const auto w = compute_kernel();
+    const std::vector<double> band = {1005.0, 1200.0, 1410.0};
     const auto result = tuner.tune_kernel(
         "k", [&w](gpusim::GpuDevice& dev) { dev.execute(w); }, w.threads,
-        {{"core_freq_mhz", {1005.0, 1200.0, 1410.0}}});
-    ASSERT_EQ(result.configs.size(), 3u);
-    for (const auto& c : result.configs) {
+        {{"core_freq_mhz", band}});
+    ASSERT_EQ(result.configs.size(), band.size());
+    for (std::size_t i = 0; i < result.configs.size(); ++i) {
+        const auto& c = result.configs[i];
+        EXPECT_EQ(c.params.at("core_freq_mhz"), band[i]) << "config " << i;
         EXPECT_GT(c.time_s, 0.0);
         EXPECT_GT(c.energy_j, 0.0);
         EXPECT_NEAR(c.edp, c.time_s * c.energy_j, 1e-12);
@@ -147,6 +150,10 @@ TEST(FunctionSweep, ProducesFig2Shape)
 {
     const auto sweep = sweep_sph_functions(turb_trace(), gpusim::a100_pcie_40g());
     ASSERT_FALSE(sweep.empty());
+    for (std::size_t i = 1; i < sweep.size(); ++i) {
+        EXPECT_LT(static_cast<int>(sweep[i - 1].fn), static_cast<int>(sweep[i].fn))
+            << "entry " << i << " out of function order";
+    }
 
     double me_clock = 0.0, xmass_clock = 0.0;
     for (const auto& e : sweep) {

@@ -196,26 +196,5 @@ TEST(ThreadPool, NestedParallelForOnTheSharedPoolFinishes)
     }
 }
 
-TEST(ThreadPool, SubmitReturnsValueThroughFuture)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitOnSerialPoolRunsInline)
-{
-    ThreadPool pool(1);
-    auto f = pool.submit([]() { return std::this_thread::get_id(); });
-    EXPECT_EQ(f.get(), std::this_thread::get_id());
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit([]() -> int { throw std::logic_error("bad task"); });
-    EXPECT_THROW(f.get(), std::logic_error);
-}
-
 } // namespace
 } // namespace gsph::util

@@ -10,10 +10,10 @@
 ///       printing the device/function energy reports.
 ///   greensph tuned  [options]
 ///       Long-lived tuning service: accepts greensph.tune_request/v1 JSON
-///       over loopback HTTP (POST /tune), prices sweeps across --threads
-///       workers, and caches greensph.policy/v1 artifacts in a durable
-///       --store directory keyed by the canonical request hash.  Identical
-///       re-requests are served from the store without re-sweeping; GET
+///       over loopback HTTP (POST /tune), sweeps each new request, and
+///       caches greensph.policy/v1 artifacts in a durable --store directory
+///       keyed by the canonical request hash.  Identical re-requests are
+///       served from the store without re-sweeping; GET
 ///       /policy/<key>, /metrics and /healthz are also served.  Shuts down
 ///       cleanly on SIGTERM/SIGINT.
 ///   greensph fleet  [options]
@@ -33,8 +33,8 @@
 ///   --policy baseline|static:<mhz>|dvfs|mandyn|online   (baseline)
 ///   --ranks N                         (1)
 ///   --steps N                         (10)
-///   --threads N        host threads for physics recording, sweeps and
-///                      fleet nodes; 0 = one per available CPU, 1 = serial;
+///   --threads N        host threads for physics recording and fleet
+///                      node steps; 0 = one per available CPU, 1 = serial;
 ///                      results are identical either way  (0)
 ///   --nside N          real-physics resolution           (10)
 ///   --particles-per-gpu X             (91125000 = 450^3)
@@ -789,7 +789,6 @@ int cmd_tune(const Options& opt)
     if (!opt.submit_url.empty()) return tune_submit(opt, system, trace);
 
     tuning::SweepOptions sweep_options;
-    sweep_options.n_threads = opt.threads;
     sweep_options.strategy = tuning::sweep_strategy_from_string(opt.tune_strategy);
     const auto sweep = tuning::sweep_sph_functions(trace, system.gpu, sweep_options);
     const auto objective = objective_from(opt.objective);
@@ -831,7 +830,6 @@ int cmd_tuned(const Options& opt)
     service::DaemonConfig cfg;
     cfg.port = static_cast<std::uint16_t>(opt.port);
     cfg.access_log_path = opt.access_log;
-    cfg.service.n_threads = opt.threads;
     cfg.service.store_dir = opt.store_dir;
     cfg.service.store_ttl_s = opt.store_ttl_s;
     cfg.service.store_max_artifacts = opt.store_max_artifacts;
@@ -927,7 +925,6 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
             std::cout << "Tuning per-function clocks for " << system.gpu.name
                       << "...\n";
             tuning::SweepOptions sweep_options;
-            sweep_options.n_threads = opt.threads;
             sweep_options.strategy =
                 tuning::sweep_strategy_from_string(opt.tune_strategy);
             const auto sweep =
@@ -944,7 +941,6 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
     cfg.n_ranks = opt.ranks;
     cfg.setup_s = 45.0;
     cfg.n_steps = opt.steps;
-    cfg.n_threads = opt.threads;
     cfg.checkpoint_every = opt.checkpoint_every;
     cfg.checkpoint_dir = opt.checkpoint_dir;
     cfg.config_hash = config_hash;
